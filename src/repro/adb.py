@@ -11,6 +11,7 @@ follow the artifact's steps line by line.
 
 from __future__ import annotations
 
+import zlib
 from typing import TYPE_CHECKING
 
 from repro.android.res import DEFAULT_LANDSCAPE
@@ -66,7 +67,7 @@ class AdbShell:
         )
         for mb, pkg in rows:
             kb = int(mb * 1024)
-            lines.append(f"    {kb:>9,}K: {pkg} (pid {1000 + hash(pkg) % 999})")
+            lines.append(f"    {kb:>9,}K: {pkg} (pid {_pid(pkg)})")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
@@ -113,6 +114,11 @@ class AdbShell:
             end = line.index(" ms", start)
             times.append(float(line[start:end]))
         return times
+
+
+def _pid(package: str) -> int:
+    """A stable fake pid: ``hash()`` of a str is salted per process."""
+    return 1000 + zlib.crc32(package.encode("utf-8")) % 999
 
 
 def _timestamp(when_ms: float) -> str:

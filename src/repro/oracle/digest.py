@@ -23,7 +23,7 @@ fleet-sampled oracle's replay check pins.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,7 +74,10 @@ class StateDigest:
         return not self.crashed and not self.lost_slots
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Every field is an immutable scalar or a tuple of them, so a
+        # shallow read equals ``dataclasses.asdict`` without its deep
+        # copy (which is most of the oracle's encoding cost).
+        return {name: getattr(self, name) for name in _DIGEST_FIELDS}
 
     def to_json(self) -> str:
         """Canonical byte form — digests are equal iff these are."""
@@ -102,6 +105,9 @@ class StateDigest:
             handling_count=data["handling_count"],
             ops_played=data["ops_played"],
         )
+
+
+_DIGEST_FIELDS = tuple(f.name for f in fields(StateDigest))
 
 
 @dataclass

@@ -25,12 +25,24 @@ message`` reference cycles in the queue safe.
 Two kinds of objects are deliberately **not** copied:
 
 * the shared immutable inputs (cost model, app specs and their resource
-  tables / async scripts) — externalised by identity via the pickle
-  persistent-id protocol, so every fork references the same spec objects
-  and fork cost does not scale with corpus size;
-* the :data:`~repro.trace.tracer.NULL_TRACER` singleton — restored by
-  reference so an untraced fork stays on the pre-bound untraced dispatch
-  path.
+  tables / async scripts) — externalised by identity, so every fork
+  references the same spec objects and fork cost does not scale with
+  corpus size;
+* the :data:`~repro.trace.tracer.NULL_TRACER` singleton — saved as a
+  global reference so an untraced fork stays on the pre-bound untraced
+  dispatch path.
+
+Both go through the pickler's ``reducer_override``, not the
+persistent-id protocol.  The C pickler calls ``persistent_id`` for
+*every* object it saves — ints, floats and strs included, about 1,900
+Python calls per hunt capture — whereas ``reducer_override`` only runs
+for objects that are neither atomic, memoised, nor plain containers,
+which is where every external lives (they are all class instances).
+An external is saved as ``_external_ref(index)``; :func:`loads` binds
+the restoring snapshot's externals in a :class:`contextvars.ContextVar`
+around a plain :func:`pickle.loads`, so there is no Python-level
+unpickler either, and concurrent restores in different threads each
+resolve against their own externals.
 
 Snapshots also serialise to disk (:meth:`SystemSnapshot.to_bytes` /
 :meth:`SystemSnapshot.from_bytes`); there the externals ride along by
@@ -52,6 +64,7 @@ runs.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import importlib
 import io
@@ -70,10 +83,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Bump when the capture format changes incompatibly (folded into the
 #: engine snapshot store's directory layout next to the cache schema).
-SNAPSHOT_FORMAT_VERSION = 1
+#: Version 2: externals and the null tracer travel through
+#: ``reducer_override`` instead of persistent ids.
+SNAPSHOT_FORMAT_VERSION = 2
 
-_EXTERNAL = "external"
-_NULL_TRACER = "null-tracer"
+#: The externals of the :func:`loads` call in progress (per thread and
+#: per asyncio task, as context variables are).
+_LOAD_EXTERNALS: contextvars.ContextVar[Sequence[Any]] = (
+    contextvars.ContextVar("snapshot_externals", default=())
+)
+
+
+def _external_ref(index: int) -> Any:
+    """An externalised shared input, resolved against the loading call."""
+    return _LOAD_EXTERNALS.get()[index]
 
 
 # ----------------------------------------------------------------------
@@ -167,33 +190,17 @@ class _SnapshotPickler(pickle.Pickler):
             id(obj): (index, obj) for index, obj in enumerate(externals)
         }
 
-    def persistent_id(self, obj: Any):
-        if obj is NULL_TRACER:
-            return (_NULL_TRACER,)
+    def reducer_override(self, obj: Any):
         entry = self._externals.get(id(obj))
         if entry is not None and entry[1] is obj:
-            return (_EXTERNAL, entry[0])
-        return None
-
-    def reducer_override(self, obj: Any):
+            return _external_ref, (entry[0],)
+        if obj is NULL_TRACER:
+            return "NULL_TRACER"  # a module global of repro.trace.tracer
         if isinstance(obj, types.CellType):
             return _reduce_cell(obj)
         if isinstance(obj, types.FunctionType) and not _is_importable(obj):
             return _reduce_function(obj)
         return NotImplemented
-
-
-class _SnapshotUnpickler(pickle.Unpickler):
-    def __init__(self, file, externals: Sequence[Any] = ()):
-        super().__init__(file)
-        self._externals = list(externals)
-
-    def persistent_load(self, pid: Any):
-        if pid[0] == _NULL_TRACER:
-            return NULL_TRACER
-        if pid[0] == _EXTERNAL:
-            return self._externals[pid[1]]
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
 def dumps(obj: Any, externals: Sequence[Any] = ()) -> bytes:
@@ -203,7 +210,11 @@ def dumps(obj: Any, externals: Sequence[Any] = ()) -> bytes:
 
 
 def loads(payload: bytes, externals: Sequence[Any] = ()) -> Any:
-    return _SnapshotUnpickler(io.BytesIO(payload), externals).load()
+    token = _LOAD_EXTERNALS.set(externals)
+    try:
+        return pickle.loads(payload)
+    finally:
+        _LOAD_EXTERNALS.reset(token)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """StateDigest: canonical bytes, the self-audit, and live capture."""
 
+import dataclasses
+import json
+
+import pytest
+
+from repro.apps.appset27 import build_appset27
 from repro.engine.batch import POLICIES
 from repro.fleet.population import fleet_corpus
-from repro.oracle import StateDigest, capture_digest
+from repro.oracle import StateDigest, capture_digest, run_oracle_session
 from repro.oracle.digest import LIFECYCLE_FIELDS, STATE_FIELDS, SessionLog
 from repro.system import AndroidSystem
 
@@ -101,3 +107,33 @@ class TestCaptureDigest:
         assert not digest.crashed
         assert slot.name in digest.lost_slots
         assert not digest.self_consistent()
+
+
+@pytest.fixture(scope="module")
+def ext_oracle_digests() -> list[StateDigest]:
+    """Every digest the ext-oracle experiment compares (27 apps x 3
+    policies, recorded and replayed)."""
+    digests = []
+    for app in build_appset27(0x5EED):
+        session = run_oracle_session(app, seed=0x5EED)
+        for run in session.runs.values():
+            digests.extend((run.digest, run.replay_digest))
+    return digests
+
+
+class TestShallowEncoding:
+    """``to_dict`` reads fields shallowly instead of ``asdict``'s deep
+    copy; the encoding must not move by a byte."""
+
+    def test_to_dict_equals_asdict(self, ext_oracle_digests):
+        assert len(ext_oracle_digests) == 27 * 3 * 2
+        for digest in ext_oracle_digests:
+            assert digest.to_dict() == dataclasses.asdict(digest)
+
+    def test_to_json_is_byte_identical_to_asdict_encoding(
+        self, ext_oracle_digests
+    ):
+        for digest in ext_oracle_digests:
+            old = json.dumps(dataclasses.asdict(digest), sort_keys=True,
+                             separators=(",", ":"))
+            assert digest.to_json() == old

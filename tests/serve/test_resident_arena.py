@@ -120,14 +120,25 @@ def test_refcounts_pin_segments_against_eviction():
         arena.destroy()
 
 
-def test_budget_eviction_is_lru_first():
-    snap = _snap(0)
-    # Budget fits one template: publishing a second evicts the idle
-    # least-recently-used first.
-    arena = ResidentArena(budget_bytes=len(bytes(snap.payload)) + 4096)
+def _charge(key: str, snap) -> int:
+    """The bytes a resident arena charges for ``snap`` (meta + payload)."""
+    probe = ResidentArena()
     try:
-        arena.publish(_key(0), snap)
-        arena.publish(_key(1), _snap(1))
+        probe.publish(key, snap)
+        return probe.resident_bytes
+    finally:
+        probe.destroy()
+
+
+def test_budget_eviction_is_lru_first():
+    first, second = _snap(0), _snap(1)
+    # Budget fits the larger template but not both: publishing the
+    # second evicts the idle least-recently-used first.
+    arena = ResidentArena(budget_bytes=max(_charge(_key(0), first),
+                                           _charge(_key(1), second)))
+    try:
+        arena.publish(_key(0), first)
+        arena.publish(_key(1), second)
         assert len(arena) == 1
         assert _key(1) in arena and _key(0) not in arena
         assert arena.stats()["template_evictions"] == 1

@@ -1,15 +1,31 @@
 """SystemSnapshot: fork-equals-fresh, round trips, refusal cases."""
 
+import gc
+import io
 import json
+import sys
+import threading
+import types
 
 import pytest
 
+from repro.android.res import ResourceTable
 from repro.apps.benchmark import make_benchmark_app
+from repro.apps.dsl import AppSpec, AsyncScript
 from repro.baselines.android10 import Android10Policy
 from repro.baselines.runtimedroid import RuntimeDroidPolicy
 from repro.core.policy import RCHDroidPolicy
 from repro.engine import encode_result
+from repro.engine.snapshots import SnapshotStore
 from repro.errors import SnapshotError
+from repro.fleet.run import (
+    FleetSpec,
+    _load_worker_template,
+    _reset_template_cache,
+    capture_template,
+    template_cache_stats,
+    template_key,
+)
 from repro.harness.runner import (
     finish_issue,
     finish_probe,
@@ -18,9 +34,11 @@ from repro.harness.runner import (
     run_issue_scenario,
     run_probe,
 )
-from repro.sim.snapshot import SystemSnapshot
+from repro.sim import snapshot as snapshot_module
+from repro.sim.costs import CostModel
+from repro.sim.snapshot import SNAPSHOT_FORMAT_VERSION, SystemSnapshot
 from repro.system import AndroidSystem
-from repro.trace.tracer import TraceSession
+from repro.trace.tracer import NULL_TRACER, NullTracer, TraceSession
 
 POLICY_FACTORIES = {
     "android10": Android10Policy,
@@ -82,12 +100,169 @@ class TestForkEqualsFresh:
         assert _encoded(first) == _encoded(second)
 
     def test_fork_preserves_external_identity(self):
-        """Shared inputs (the AppSpec) come back as the same objects."""
+        """Every shared input and the null tracer come back as the same
+        objects, and no copy of one exists anywhere in the fork."""
         app = make_benchmark_app(2)
         live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
-        prepare_issue(live, app)
-        forked = AndroidSystem.fork(live.snapshot())
-        assert any(shared is app for shared in forked.shared_inputs())
+        prepare_probe(live, app)  # an async task (and its script) in flight
+        snap = live.snapshot()
+        assert [type(obj) for obj in snap.externals] == [
+            CostModel, AppSpec, ResourceTable, AsyncScript,
+        ]
+        forked = AndroidSystem.fork(snap)
+        inputs = forked.shared_inputs()
+        assert len(inputs) == len(snap.externals)
+        assert all(mine is theirs
+                   for mine, theirs in zip(inputs, live.shared_inputs()))
+        assert forked.tracer is NULL_TRACER
+
+        external_types = (CostModel, AppSpec, ResourceTable, AsyncScript,
+                          NullTracer)
+        allowed = {id(obj) for obj in snap.externals} | {id(NULL_TRACER)}
+        found = [obj for obj in _object_graph(forked)
+                 if isinstance(obj, external_types)]
+        assert found
+        assert all(id(obj) in allowed for obj in found)
+
+
+def _object_graph(root):
+    """Every object reachable from ``root``, not descending into
+    modules, classes or module globals (which reach the interpreter)."""
+    stop = {id(module.__dict__) for module in list(sys.modules.values())
+            if module is not None}
+    seen = {id(root)}
+    todo = [root]
+    reached = []
+    while todo:
+        obj = todo.pop()
+        reached.append(obj)
+        for child in gc.get_referents(obj):
+            if (id(child) in seen or id(child) in stop
+                    or isinstance(child, (type, types.ModuleType))):
+                continue
+            seen.add(id(child))
+            todo.append(child)
+    return reached
+
+
+class TestConcurrentRestore:
+    def test_threads_restoring_different_externals_get_their_own(self):
+        """Externals are bound per restoring thread, never process-wide."""
+        snaps = []
+        for package in ("concurrent.one", "concurrent.two"):
+            live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+            live.launch(make_benchmark_app(2, package=package))
+            snaps.append(live.snapshot())
+        assert snaps[0].externals[1] is not snaps[1].externals[1]
+
+        barrier = threading.Barrier(len(snaps))
+        mismatches: list[str] = []
+
+        def restore_many(snap):
+            barrier.wait()
+            for _ in range(20):
+                try:
+                    inputs = snap.restore().shared_inputs()
+                except SnapshotError as exc:
+                    mismatches.append(str(exc))
+                    continue
+                if len(inputs) != len(snap.externals) or any(
+                    mine is not theirs
+                    for mine, theirs in zip(inputs, snap.externals)
+                ):
+                    mismatches.append(snap.externals[1].package)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two restores
+        try:
+            threads = [threading.Thread(target=restore_many, args=(snap,))
+                       for snap in snaps]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+
+
+class _FormatOnePickler(snapshot_module._SnapshotPickler):
+    """The format-1 writer: externals and the null tracer as persistent
+    ids (consulted before ``reducer_override`` sees them)."""
+
+    def persistent_id(self, obj):
+        if obj is NULL_TRACER:
+            return ("null-tracer",)
+        entry = self._externals.get(id(obj))
+        if entry is not None and entry[1] is obj:
+            return ("external", entry[0])
+        return None
+
+
+def _format_one_dumps(obj, externals=()) -> bytes:
+    buffer = io.BytesIO()
+    _FormatOnePickler(buffer, externals).dump(obj)
+    return buffer.getvalue()
+
+
+def _format_one_bytes(system: AndroidSystem) -> bytes:
+    """What ``SystemSnapshot.to_bytes`` wrote before format 2."""
+    externals = tuple(system.shared_inputs())
+    payload = _format_one_dumps(system, externals)
+    return _format_one_dumps(
+        (1, system.policy.name, system.now_ms, externals, payload)
+    )
+
+
+class TestFormatOneEntries:
+    """Entries written by the format-1 stores are misses, not errors."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_template_cache(self):
+        _reset_template_cache()
+        yield
+        _reset_template_cache()
+
+    def test_format_is_two(self):
+        assert SNAPSHOT_FORMAT_VERSION == 2
+
+    def test_format_one_payload_cannot_restore_silently(self):
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        live.launch(make_benchmark_app(1))
+        externals = tuple(live.shared_inputs())
+        payload = _format_one_dumps(live, externals)
+        with pytest.raises(SnapshotError):
+            SystemSnapshot(payload, externals).restore()
+
+    def test_engine_store_misses_on_format_one_entry(self, tmp_path):
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        prepare_issue(live, make_benchmark_app(2))
+        key = "ab" * 32
+        store = SnapshotStore(root=tmp_path)
+        path = store._path(key)
+        old_path = (tmp_path / f"v1-py{sys.version_info[0]}"
+                    f"{sys.version_info[1]}" / key[:2] / path.name)
+        for entry in (path, old_path):
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_bytes(_format_one_bytes(live))
+        assert store.get(key) is None
+        assert store.stats.misses == 1 and store.stats.disk_hits == 0
+
+    def test_fleet_template_store_rebuilds_over_format_one_entry(
+        self, tmp_path
+    ):
+        spec = FleetSpec(devices_per_cell=2, shard_size=2)
+        key = template_key(spec, 0)
+        fresh = capture_template(spec, 0)
+        path = SnapshotStore(root=tmp_path)._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(_format_one_bytes(fresh.restore()))
+        _reset_template_cache()
+
+        snap = _load_worker_template(str(tmp_path), key, spec, 0)
+        stats = template_cache_stats()
+        assert stats["disk_reads"] == 0 and stats["rebuilds"] == 1
+        assert bytes(snap.payload) == bytes(fresh.payload)
 
 
 class TestDiskRoundTrip:

@@ -1,5 +1,10 @@
 """Unit tests for the adb-style facade (the artifact's A.5 workflow)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Android10Policy, AndroidSystem, RCHDroidPolicy
@@ -58,6 +63,28 @@ class TestDumpsysMeminfo:
         system.launch(make_benchmark_app(1, package="adb.two"))
         out = AdbShell(system).dumpsys_meminfo()
         assert "adb.one" in out and "adb.two" in out
+
+    def test_output_is_independent_of_hash_seed(self):
+        """Pids come from a stable digest, not the salted ``hash()``."""
+        script = (
+            "from repro import Android10Policy, AndroidSystem\n"
+            "from repro.adb import AdbShell\n"
+            "from repro.apps import make_benchmark_app\n"
+            "system = AndroidSystem(policy=Android10Policy())\n"
+            "for package in ('adb.one', 'adb.two', 'adb.three'):\n"
+            "    system.launch(make_benchmark_app(1, package=package))\n"
+            "print(AdbShell(system).dumpsys_meminfo())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True,
+            ).stdout)
+        assert b"(pid " in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestLogcat:
