@@ -18,7 +18,7 @@ Three properties of this model carry the paper's mechanism:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.errors import NullPointerException, WrongThreadError
 from repro.android.os import Bundle
@@ -56,6 +56,10 @@ class View:
     MEMORY_EXTRA_MB: float = 0.0
     """Footprint beyond the base view cost (decoded bitmaps etc.)."""
 
+    children: "Sequence[View]" = ()
+    """A leaf has no children; :class:`ViewGroup` shadows this with a
+    per-instance list, so tree walks need no type test per view."""
+
     def __init__(self, ctx: "SimContext", view_id: int | None = None):
         self.ctx = ctx
         self.view_id = view_id
@@ -83,7 +87,14 @@ class View:
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self, owner: "Activity") -> None:
-        """Bind to an owning activity and register the memory footprint."""
+        """Bind this view and its descendants to an owning activity,
+        registering each one's memory footprint in preorder."""
+        for view in self.iter_tree():
+            view.bind(owner)
+
+    def bind(self, owner: "Activity") -> None:
+        """Bind this one view (not its descendants) to ``owner`` and
+        register its memory footprint."""
         self.owner = owner
         self.ctx.memory.allocate(
             owner.process.name,
@@ -156,13 +167,34 @@ class View:
     # traversal
     # ------------------------------------------------------------------
     def iter_tree(self) -> Iterator["View"]:
-        """Preorder traversal of this view and its descendants."""
-        yield self
+        """Preorder traversal of this view and its descendants.
+
+        Walks an explicit stack rather than recursing: one generator
+        resumption per view instead of one per view per tree level, and
+        no depth limit.  A view's children are read when the walk
+        reaches that view.
+        """
+        stack: list[View] = [self]
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            view = pop()
+            yield view
+            if view.children:
+                push(reversed(view.children))
 
     def count_views(self) -> int:
-        return sum(1 for _ in self.iter_tree())
+        count = 0
+        stack: list[View] = [self]
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            count += 1
+            push(pop().children)
+        return count
 
     def find_by_id(self, view_id: int) -> "View | None":
+        """The first view in preorder carrying ``view_id``."""
         for view in self.iter_tree():
             if view.view_id == view_id:
                 return view
@@ -240,20 +272,10 @@ class ViewGroup(View):
         self.children.remove(child)
         child.parent = None
 
-    def attach(self, owner: "Activity") -> None:
-        super().attach(owner)
-        for child in self.children:
-            child.attach(owner)
-
     def destroy(self) -> None:
         for child in self.children:
             child.destroy()
         super().destroy()
-
-    def iter_tree(self) -> Iterator[View]:
-        yield self
-        for child in self.children:
-            yield from child.iter_tree()
 
     def save_state(self, out: Bundle, *, full: bool) -> None:
         super().save_state(out, full=full)

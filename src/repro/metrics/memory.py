@@ -13,20 +13,39 @@ in traces.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Hashable
+
+from repro.metrics.recorder import HeapSample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.recorder import TraceRecorder
     from repro.sim.clock import VirtualClock
 
 
+def _fold(ledger: dict[Hashable, float]) -> float:
+    """``0 + mb1 + mb2 + ...`` in the ledger's insertion order."""
+    return reduce(add, ledger.values(), 0)
+
+
 class MemoryAccountant:
-    """Ledger of simulated allocations, keyed by (process, owner)."""
+    """Ledger of simulated allocations, keyed by (process, owner).
+
+    Each process's total is kept as the left fold of its ledger in
+    insertion order (:func:`_fold`), so adding a new owner is the one
+    addition ``total + mb`` and costs O(1).  The fold is defined exactly,
+    not as "the sum": CPython 3.12's ``sum()`` of floats is compensated
+    and can differ in the last bits from 3.11's plain left-to-right
+    addition, which made the heap series interpreter-dependent.  An
+    empty ledger totals the int ``0``.
+    """
 
     def __init__(self, clock: "VirtualClock", recorder: "TraceRecorder"):
         self._clock = clock
         self._recorder = recorder
         self._ledgers: dict[str, dict[Hashable, float]] = defaultdict(dict)
+        self._totals: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # mutation
@@ -37,33 +56,39 @@ class MemoryAccountant:
         Re-allocating the same owner replaces its footprint (an object that
         grows, e.g. an ImageView that decodes a bitmap).
         """
-        self._ledgers[process][owner] = mb
-        self._sample(process)
+        ledger = self._ledgers[process]
+        replacing = owner in ledger
+        ledger[owner] = mb
+        total = self._totals[process] = (
+            _fold(ledger) if replacing else self._totals.get(process, 0) + mb
+        )
+        self._recorder.heap.append(
+            HeapSample(self._clock.now_ms, process, total)
+        )
 
     def free(self, process: str, owner: Hashable) -> None:
         """Release ``owner``'s footprint; freeing twice is a no-op."""
-        if self._ledgers[process].pop(owner, None) is not None:
-            self._sample(process)
+        ledger = self._ledgers[process]
+        if ledger.pop(owner, None) is not None:
+            total = self._totals[process] = _fold(ledger)
+            self._recorder.heap.append(
+                HeapSample(self._clock.now_ms, process, total)
+            )
 
     def drop_process(self, process: str) -> None:
         """Zero a process ledger (process death / crash)."""
         self._ledgers[process] = {}
-        self._sample(process)
+        self._totals[process] = 0
+        self._recorder.heap.append(HeapSample(self._clock.now_ms, process, 0))
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def total_mb(self, process: str) -> float:
-        return sum(self._ledgers[process].values())
+        return self._totals.get(process, 0)
 
     def owners(self, process: str) -> list[Hashable]:
         return list(self._ledgers[process])
 
     def footprint_mb(self, process: str, owner: Hashable) -> float:
         return self._ledgers[process].get(owner, 0.0)
-
-    # ------------------------------------------------------------------
-    def _sample(self, process: str) -> None:
-        self._recorder.record_heap(
-            self._clock.now_ms, process, self.total_mb(process)
-        )

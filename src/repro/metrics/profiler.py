@@ -9,6 +9,7 @@ produces exactly those two series.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.metrics.recorder import TraceRecorder
@@ -46,14 +47,18 @@ class Profiler:
         thread saturates at one core.
         """
         windows = self._window_starts(start_ms, end_ms, window_ms)
+        window_ends = [window_start + window_ms for window_start in windows]
         busy_per_window = [0.0] * len(windows)
         for interval in self._recorder.busy:
             if interval.process != process:
                 continue
-            for index, window_start in enumerate(windows):
-                window_end = window_start + window_ms
-                overlap = min(interval.end_ms, window_end) - max(
-                    interval.start_ms, window_start
+            busy_start, busy_end = interval.start_ms, interval.end_ms
+            # Only windows ending after the interval starts and starting
+            # before it ends can overlap it; both bounds are monotone.
+            for index in range(bisect_right(window_ends, busy_start),
+                               bisect_left(windows, busy_end)):
+                overlap = min(busy_end, window_ends[index]) - max(
+                    busy_start, windows[index]
                 )
                 if overlap > 0:
                     busy_per_window[index] += overlap

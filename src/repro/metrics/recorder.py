@@ -9,64 +9,127 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable
 
 
-@dataclass(frozen=True)
-class BusyInterval:
+class _Record:
+    """Base of the immutable-by-convention trace records.
+
+    Plain ``__slots__`` classes rather than frozen dataclasses: a run
+    builds tens of thousands of heap samples and busy intervals, and a
+    frozen dataclass's ``object.__setattr__`` per field costs about four
+    times as much to construct.  Records compare, hash and print by
+    their fields, and pickle as ``(class, fields)``.
+    """
+
+    __slots__ = ()
+    _fields: "Callable[[_Record], tuple]"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # One C-level read of all fields as a tuple (every record has
+        # several); snapshot capture pickles each record through it.
+        cls._fields = staticmethod(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields(self) == self._fields(other)  # type: ignore[arg-type]
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields(self))
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class BusyInterval(_Record):
     """A span of simulated CPU work attributed to a process thread."""
 
-    process: str
-    thread: str
-    start_ms: float
-    duration_ms: float
-    label: str = ""
+    __slots__ = ("process", "thread", "start_ms", "duration_ms", "label")
+
+    def __init__(
+        self,
+        process: str,
+        thread: str,
+        start_ms: float,
+        duration_ms: float,
+        label: str = "",
+    ):
+        self.process = process
+        self.thread = thread
+        self.start_ms = start_ms
+        self.duration_ms = duration_ms
+        self.label = label
 
     @property
     def end_ms(self) -> float:
         return self.start_ms + self.duration_ms
 
 
-@dataclass(frozen=True)
-class HeapSample:
+class HeapSample(_Record):
     """Total simulated PSS of a process at an instant."""
 
-    when_ms: float
-    process: str
-    mb: float
+    __slots__ = ("when_ms", "process", "mb")
+
+    def __init__(self, when_ms: float, process: str, mb: float):
+        self.when_ms = when_ms
+        self.process = process
+        self.mb = mb
 
 
-@dataclass(frozen=True)
-class PointEvent:
+class PointEvent(_Record):
     """A labelled instant (rotation arrived, task returned, GC ran, ...)."""
 
-    when_ms: float
-    kind: str
-    detail: str = ""
-    process: str = ""
+    __slots__ = ("when_ms", "kind", "detail", "process")
+
+    def __init__(
+        self, when_ms: float, kind: str, detail: str = "", process: str = ""
+    ):
+        self.when_ms = when_ms
+        self.kind = kind
+        self.detail = detail
+        self.process = process
 
 
-@dataclass(frozen=True)
-class LatencyRecord:
+class LatencyRecord(_Record):
     """A named interval, e.g. one runtime-change handling episode."""
 
-    name: str
-    start_ms: float
-    end_ms: float
-    detail: str = ""
+    __slots__ = ("name", "start_ms", "end_ms", "detail")
+
+    def __init__(
+        self, name: str, start_ms: float, end_ms: float, detail: str = ""
+    ):
+        self.name = name
+        self.start_ms = start_ms
+        self.end_ms = end_ms
+        self.detail = detail
 
     @property
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
 
 
-@dataclass(frozen=True)
-class CrashRecord:
+class CrashRecord(_Record):
     """An app-process crash (uncaught exception on the UI thread)."""
 
-    when_ms: float
-    process: str
-    exception: str
-    message: str
+    __slots__ = ("when_ms", "process", "exception", "message")
+
+    def __init__(
+        self, when_ms: float, process: str, exception: str, message: str
+    ):
+        self.when_ms = when_ms
+        self.process = process
+        self.exception = exception
+        self.message = message
 
 
 @dataclass

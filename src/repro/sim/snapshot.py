@@ -84,8 +84,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Bump when the capture format changes incompatibly (folded into the
 #: engine snapshot store's directory layout next to the cache schema).
 #: Version 2: externals and the null tracer travel through
-#: ``reducer_override`` instead of persistent ids.
-SNAPSHOT_FORMAT_VERSION = 2
+#: ``reducer_override`` instead of persistent ids.  Version 3: trace
+#: records are slotted classes, the RNG pickles its state as bytes, and
+#: the memory accountant carries running per-process totals.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: The externals of the :func:`loads` call in progress (per thread and
 #: per asyncio task, as context variables are).

@@ -1,6 +1,8 @@
 """Unit tests for the windowed profiler."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.metrics.profiler import Profiler
 from repro.metrics.recorder import TraceRecorder
@@ -84,3 +86,45 @@ def test_window_ms_must_be_positive(recorder):
     profiler = Profiler(recorder)
     with pytest.raises(ValueError):
         profiler.cpu_series("app", 0.0, 100.0, 0.0)
+
+
+def _cpu_series_reference(recorder, process, start_ms, end_ms, window_ms):
+    """Every interval against every window: what the bisected loop in
+    ``cpu_series`` must reproduce bit for bit."""
+    windows = Profiler._window_starts(start_ms, end_ms, window_ms)
+    busy_per_window = [0.0] * len(windows)
+    for interval in recorder.busy:
+        if interval.process != process:
+            continue
+        for index, window_start in enumerate(windows):
+            window_end = window_start + window_ms
+            overlap = min(interval.end_ms, window_end) - max(
+                interval.start_ms, window_start
+            )
+            if overlap > 0:
+                busy_per_window[index] += overlap
+    return [
+        (window_start, 100.0 * min(busy, window_ms) / window_ms)
+        for window_start, busy in zip(windows, busy_per_window)
+    ]
+
+
+@given(
+    intervals=st.lists(
+        st.tuples(st.sampled_from(["app", "other"]),
+                  st.floats(min_value=-50.0, max_value=1_200.0),
+                  st.floats(min_value=1e-9, max_value=400.0)),
+        max_size=40,
+    ),
+    start_ms=st.floats(min_value=-10.0, max_value=300.0),
+    window_ms=st.floats(min_value=0.1, max_value=250.0),
+)
+def test_cpu_series_matches_every_window_reference(
+    intervals, start_ms, window_ms
+):
+    recorder = TraceRecorder()
+    for process, busy_start, duration in intervals:
+        recorder.record_busy(process, "ui", busy_start, duration)
+    profiler = Profiler(recorder)
+    assert profiler.cpu_series("app", start_ms, 1_000.0, window_ms) == \
+        _cpu_series_reference(recorder, "app", start_ms, 1_000.0, window_ms)

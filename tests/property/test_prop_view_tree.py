@@ -1,0 +1,198 @@
+"""Property tests: iterative view-tree walks and the one-pass inflater.
+
+``iter_tree``, ``count_views`` and ``find_by_id`` walk an explicit stack,
+and ``inflate`` builds, resolves and registers a tree over one flat
+preorder list.  Both are checked against the recursive reference
+implementations kept below, over random trees: same visiting order, same
+memory-ledger keys and owner order, and the same heap samples.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import AndroidSystem
+from repro.android.res import StringRes
+from repro.android.views.inflate import LayoutSpec, ViewSpec, inflate
+from repro.android.views.view import DecorView, ViewGroup
+from repro.android.views.widgets import WIDGET_TYPES
+from repro.apps import make_benchmark_app
+from repro.sim.context import SimContext
+
+GROUPS = ["ViewGroup", "ListView", "ScrollView", "Spinner"]
+LEAVES = ["View", "TextView", "Button", "ImageView", "EditText", "SeekBar"]
+
+view_ids = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
+leaf_attrs = st.dictionaries(
+    st.sampled_from(["text", "hint", "progress"]),
+    st.one_of(st.integers(0, 9), st.sampled_from(
+        [StringRes("app_name"), StringRes("missing_key"), "literal"])),
+    max_size=2,
+)
+
+leaf_specs = st.builds(
+    ViewSpec, st.sampled_from(LEAVES), view_ids, leaf_attrs
+)
+view_specs = st.recursive(
+    leaf_specs,
+    lambda children: st.builds(
+        ViewSpec, st.sampled_from(GROUPS), view_ids, leaf_attrs,
+        st.lists(children, max_size=4),
+    ),
+    max_leaves=40,
+)
+layouts = st.builds(
+    LayoutSpec, st.just("random"), st.lists(view_specs, max_size=3)
+)
+
+
+# ----------------------------------------------------------------------
+# recursive references
+# ----------------------------------------------------------------------
+def ref_iter_tree(view):
+    yield view
+    for child in getattr(view, "children", ()):
+        yield from ref_iter_tree(child)
+
+
+def ref_find_by_id(view, view_id):
+    for candidate in ref_iter_tree(view):
+        if candidate.view_id == view_id:
+            return candidate
+    return None
+
+
+def ref_build(ctx, spec):
+    view = WIDGET_TYPES[spec.view_type](ctx, spec.view_id)
+    for attr, value in spec.attrs.items():
+        view.attrs[attr] = value
+    for child_spec in spec.children:
+        child = ref_build(ctx, child_spec)
+        child.parent = view
+        view.children.append(child)
+    return view
+
+
+def ref_attach(view, owner):
+    view.owner = owner
+    view.ctx.memory.allocate(
+        owner.process.name,
+        ("view", view.memory_key),
+        view.ctx.costs.view_base_mb + view.MEMORY_EXTRA_MB,
+    )
+    for child in getattr(view, "children", ()):
+        ref_attach(child, owner)
+
+
+def ref_decor(ctx, layout):
+    """``layout`` built under a decor view, unattached."""
+    decor = DecorView(ctx)
+    for root_spec in layout.roots:
+        decor.children.append(ref_build(ctx, root_spec))
+        decor.children[-1].parent = decor
+    return decor
+
+
+def ref_inflate(ctx, activity, layout):
+    decor = ref_decor(ctx, layout)
+    for view in ref_iter_tree(decor):
+        for attr, value in list(view.attrs.items()):
+            if isinstance(value, StringRes):
+                view.attrs[attr] = activity.app.resources.resolve_string(
+                    value.key, activity.config
+                )
+    ref_attach(decor, activity)
+    ctx.consume(
+        ctx.costs.inflate_per_view_ms * sum(1 for _ in ref_iter_tree(decor)),
+        activity.process.name,
+        label=f"inflate:{layout.name}",
+    )
+    return decor
+
+
+# ----------------------------------------------------------------------
+# traversal
+# ----------------------------------------------------------------------
+@given(layouts)
+@settings(max_examples=60, deadline=None)
+def test_walks_match_the_recursive_reference(layout):
+    decor = ref_decor(SimContext(), layout)
+    for root in [decor, *decor.children]:
+        expected = list(ref_iter_tree(root))
+        assert list(root.iter_tree()) == expected
+        assert root.count_views() == len(expected)
+    for view_id in range(0, 14):
+        assert decor.find_by_id(view_id) is ref_find_by_id(decor, view_id)
+
+
+def test_deep_chain_walks_without_recursion_error():
+    depth = 3_000
+    assert depth > sys.getrecursionlimit()
+    root = ViewGroup(SimContext(), view_id=0)
+    chain = [root]
+    for view_id in range(1, depth + 1):
+        child = ViewGroup(root.ctx, view_id=view_id)
+        chain[-1].add_child(child)
+        chain.append(child)
+    assert root.count_views() == depth + 1
+    assert list(root.iter_tree()) == chain
+    assert root.find_by_id(depth) is chain[-1]
+
+
+# ----------------------------------------------------------------------
+# inflate
+# ----------------------------------------------------------------------
+def _launched():
+    system = AndroidSystem()
+    record = system.launch(make_benchmark_app(1))
+    return system, record.instance
+
+
+@given(layouts)
+@settings(max_examples=40, deadline=None)
+def test_flat_inflate_matches_recursive_build_and_attach(layout):
+    flat_system, flat_activity = _launched()
+    ref_system, ref_activity = _launched()
+    flat_heap = len(flat_system.ctx.recorder.heap)
+    ref_heap = len(ref_system.ctx.recorder.heap)
+    assert flat_heap == ref_heap
+
+    flat = inflate(flat_system.ctx, flat_activity, layout)
+    ref = ref_inflate(ref_system.ctx, ref_activity, layout)
+
+    flat_views = list(ref_iter_tree(flat))
+    ref_views = list(ref_iter_tree(ref))
+    assert [v.memory_key for v in flat_views] == \
+        [v.memory_key for v in ref_views]
+    assert [(type(v), v.view_id, v.attrs) for v in flat_views] == \
+        [(type(v), v.view_id, v.attrs) for v in ref_views]
+    assert all(v.owner is flat_activity for v in flat_views)
+
+    process = flat_activity.process.name
+    assert flat_system.ctx.memory.owners(process) == \
+        ref_system.ctx.memory.owners(process)
+    assert flat_system.ctx.recorder.heap[flat_heap:] == \
+        ref_system.ctx.recorder.heap[ref_heap:]
+    assert flat_system.ctx.recorder.busy == ref_system.ctx.recorder.busy
+    assert flat_system.now_ms == ref_system.now_ms
+
+
+def test_invalid_layout_fails_before_any_allocation():
+    system, activity = _launched()
+    process = activity.process.name
+    owners = system.ctx.memory.owners(process)
+    heap = list(system.ctx.recorder.heap)
+    bad_child = LayoutSpec("bad", roots=[
+        ViewSpec("ViewGroup", 1, children=[ViewSpec("TextView", 2)]),
+        ViewSpec("TextView", 3, children=[ViewSpec("TextView", 4)]),
+    ])
+    bad_type = LayoutSpec("bad", roots=[
+        ViewSpec("ViewGroup", 1, children=[ViewSpec("Nonsense", 2)]),
+    ])
+    for layout, error in ((bad_child, TypeError), (bad_type, KeyError)):
+        with pytest.raises(error):
+            inflate(system.ctx, activity, layout)
+        assert system.ctx.memory.owners(process) == owners
+        assert system.ctx.recorder.heap == heap

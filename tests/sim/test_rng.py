@@ -1,5 +1,10 @@
 """Unit tests for the deterministic RNG."""
 
+import pickle
+import random
+
+import pytest
+
 from repro.sim.rng import DeterministicRng
 
 
@@ -56,3 +61,40 @@ def test_shuffle_returns_new_list():
     shuffled = rng.shuffle(items)
     assert items == [1, 2, 3, 4, 5]
     assert sorted(shuffled) == items
+
+
+def _draws(rng: DeterministicRng) -> list:
+    return [
+        rng.uniform(0.0, 10.0),
+        rng.randint(1, 1_000_000),
+        rng.choice("abcdefgh"),
+        rng.sample(range(100), 5),
+        rng.shuffle(list(range(10))),
+        rng.gauss(0.0, 1.0),
+        rng.gauss(5.0, 2.0),
+        rng.jitter(100.0, 0.2),
+    ]
+
+
+@pytest.mark.parametrize("pending_gauss", [False, True])
+def test_pickle_continues_the_identical_stream(pending_gauss):
+    rng = DeterministicRng(11)
+    _draws(rng)
+    if pending_gauss:
+        rng.gauss(0.0, 1.0)  # gauss draws in pairs: one value is pending
+    assert (rng._random.getstate()[2] is not None) == pending_gauss
+    copy = pickle.loads(pickle.dumps(rng))
+    assert copy.seed == rng.seed
+    assert copy._random.getstate() == rng._random.getstate()
+    for _ in range(20):
+        assert _draws(copy) == _draws(rng)
+    assert copy.fork("child").uniform(0, 1) == rng.fork("child").uniform(0, 1)
+
+
+def test_pickle_is_smaller_than_a_stock_random():
+    rng = DeterministicRng(11)
+    _draws(rng)
+    stock = random.Random()
+    stock.setstate(rng._random.getstate())
+    protocol = pickle.HIGHEST_PROTOCOL
+    assert len(pickle.dumps(rng, protocol)) < len(pickle.dumps(stock, protocol))

@@ -1,5 +1,6 @@
 """SystemSnapshot: fork-equals-fresh, round trips, refusal cases."""
 
+import copyreg
 import gc
 import io
 import json
@@ -34,8 +35,11 @@ from repro.harness.runner import (
     run_issue_scenario,
     run_probe,
 )
+from repro.metrics import recorder as recorder_module
+from repro.metrics.memory import MemoryAccountant
 from repro.sim import snapshot as snapshot_module
 from repro.sim.costs import CostModel
+from repro.sim.rng import DeterministicRng
 from repro.sim.snapshot import SNAPSHOT_FORMAT_VERSION, SystemSnapshot
 from repro.system import AndroidSystem
 from repro.trace.tracer import NULL_TRACER, NullTracer, TraceSession
@@ -199,19 +203,47 @@ class _FormatOnePickler(snapshot_module._SnapshotPickler):
         return None
 
 
-def _format_one_dumps(obj, externals=()) -> bytes:
+class _FormatTwoPickler(snapshot_module._SnapshotPickler):
+    """The format-2 writer's object layout: trace records as dataclass
+    instance dicts, the RNG wrapping a stock ``random.Random``, and a
+    memory accountant without running totals."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, recorder_module._Record):
+            state = dict(zip(obj.__slots__, obj._fields(obj)))
+            return copyreg.__newobj__, (type(obj),), state
+        if isinstance(obj, DeterministicRng):
+            state = {"seed": obj.seed, "_random": obj._random}
+            return copyreg.__newobj__, (DeterministicRng,), state
+        if isinstance(obj, MemoryAccountant):
+            state = {key: value for key, value in vars(obj).items()
+                     if key != "_totals"}
+            return copyreg.__newobj__, (MemoryAccountant,), state
+        return super().reducer_override(obj)
+
+
+def _old_format_dumps(pickler, obj, externals=()) -> bytes:
     buffer = io.BytesIO()
-    _FormatOnePickler(buffer, externals).dump(obj)
+    pickler(buffer, externals).dump(obj)
     return buffer.getvalue()
 
 
-def _format_one_bytes(system: AndroidSystem) -> bytes:
-    """What ``SystemSnapshot.to_bytes`` wrote before format 2."""
+def _old_format_bytes(system: AndroidSystem, version: int, pickler) -> bytes:
+    """What ``SystemSnapshot.to_bytes`` wrote at format ``version``."""
     externals = tuple(system.shared_inputs())
-    payload = _format_one_dumps(system, externals)
-    return _format_one_dumps(
-        (1, system.policy.name, system.now_ms, externals, payload)
+    payload = _old_format_dumps(pickler, system, externals)
+    return _old_format_dumps(
+        pickler, (version, system.policy.name, system.now_ms, externals,
+                  payload)
     )
+
+
+def _format_one_dumps(obj, externals=()) -> bytes:
+    return _old_format_dumps(_FormatOnePickler, obj, externals)
+
+
+def _format_one_bytes(system: AndroidSystem) -> bytes:
+    return _old_format_bytes(system, 1, _FormatOnePickler)
 
 
 class TestFormatOneEntries:
@@ -223,8 +255,8 @@ class TestFormatOneEntries:
         yield
         _reset_template_cache()
 
-    def test_format_is_two(self):
-        assert SNAPSHOT_FORMAT_VERSION == 2
+    def test_format_is_three(self):
+        assert SNAPSHOT_FORMAT_VERSION == 3
 
     def test_format_one_payload_cannot_restore_silently(self):
         live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
@@ -257,6 +289,56 @@ class TestFormatOneEntries:
         path = SnapshotStore(root=tmp_path)._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(_format_one_bytes(fresh.restore()))
+        _reset_template_cache()
+
+        snap = _load_worker_template(str(tmp_path), key, spec, 0)
+        stats = template_cache_stats()
+        assert stats["disk_reads"] == 0 and stats["rebuilds"] == 1
+        assert bytes(snap.payload) == bytes(fresh.payload)
+
+
+class TestFormatTwoEntries:
+    """Entries written by the format-2 stores are misses, not errors."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_template_cache(self):
+        _reset_template_cache()
+        yield
+        _reset_template_cache()
+
+    def test_format_two_payload_cannot_restore_silently(self):
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        live.launch(make_benchmark_app(1))
+        externals = tuple(live.shared_inputs())
+        payload = _old_format_dumps(_FormatTwoPickler, live, externals)
+        with pytest.raises(SnapshotError):
+            SystemSnapshot(payload, externals).restore()
+
+    def test_engine_store_misses_on_format_two_entry(self, tmp_path):
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        prepare_issue(live, make_benchmark_app(2))
+        key = "cd" * 32
+        store = SnapshotStore(root=tmp_path)
+        path = store._path(key)
+        old_path = (tmp_path / f"v2-py{sys.version_info[0]}"
+                    f"{sys.version_info[1]}" / key[:2] / path.name)
+        for entry in (path, old_path):
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_bytes(_old_format_bytes(live, 2, _FormatTwoPickler))
+        assert store.get(key) is None
+        assert store.stats.misses == 1 and store.stats.disk_hits == 0
+
+    def test_fleet_template_store_rebuilds_over_format_two_entry(
+        self, tmp_path
+    ):
+        spec = FleetSpec(devices_per_cell=2, shard_size=2)
+        key = template_key(spec, 0)
+        fresh = capture_template(spec, 0)
+        path = SnapshotStore(root=tmp_path)._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(
+            _old_format_bytes(fresh.restore(), 2, _FormatTwoPickler)
+        )
         _reset_template_cache()
 
         snap = _load_worker_template(str(tmp_path), key, spec, 0)
