@@ -2,6 +2,8 @@
 
 import dataclasses
 import enum
+import functools
+import math
 
 import pytest
 
@@ -21,6 +23,21 @@ class Colour(enum.Enum):
 class Point:
     x: float
     y: float
+
+
+def module_level(value):
+    return value
+
+
+class Adder:
+    def __init__(self, amount):
+        self.amount = amount
+
+    def add(self, value):
+        return value + self.amount
+
+    def __call__(self, value):
+        return self.add(value)
 
 
 class TestStability:
@@ -99,3 +116,55 @@ class TestEncodingForms:
     def test_unfingerprintable_object_raises(self):
         with pytest.raises(EngineError):
             fingerprint(object())
+
+
+class TestCallableRefs:
+    """Callables are keyed by dotted name only where the name is theirs."""
+
+    @pytest.mark.parametrize("obj", [Point, Colour, int, module_level, len,
+                                     math.sqrt])
+    def test_named_callables_encode_as_refs(self, obj):
+        tag, name = canonicalize(obj)
+        assert tag == "ref"
+        assert name == f"{obj.__module__}.{obj.__qualname__}"
+
+    def _refuses(self, obj):
+        with pytest.raises(EngineError, match="does not identify it"):
+            fingerprint(obj)
+        with pytest.raises(EngineError, match="does not identify it"):
+            fingerprint({"factory": [obj]})
+
+    def test_lambda_is_refused(self):
+        self._refuses(lambda value: value)
+
+    def test_nested_function_is_refused(self):
+        def nested(value):
+            return value
+
+        self._refuses(nested)
+
+    def test_bound_method_is_refused(self):
+        # Two instances' bound methods share one name but not one state.
+        self._refuses(Adder(1).add)
+
+    def test_builtin_bound_method_is_refused(self):
+        self._refuses([].append)
+
+    def test_partial_is_refused(self):
+        self._refuses(functools.partial(module_level, 1))
+
+    def test_callable_instance_is_refused(self):
+        self._refuses(Adder(2))
+
+    def test_unbound_method_is_refused(self):
+        self._refuses(Adder.add)
+
+    def test_shadowed_function_is_refused(self):
+        # Only the object the module attribute names owns that name.
+        original = module_level
+
+        @functools.wraps(original)
+        def wrapper(value):
+            return original(value)
+
+        self._refuses(wrapper)
