@@ -28,11 +28,8 @@ Commands:
   ``--checkpoint PATH`` (periodic resumable checkpoints; a killed run
   re-invoked with the same spec and path resumes byte-identically),
   ``--checkpoint-every N`` (shards between writes, default 64),
-  ``--stats`` (template-provisioning counters: cache/disk/rebuild plus
-  shared-memory arena hits/misses/fallbacks — printed and added to the
-  JSON report), ``--verify-deltas`` (spot-check the delta-snapshot
-  codec on every shard), ``--no-arena`` (disable the shared-memory
-  template arena, fall back to per-worker disk reads),
+  ``--stats`` (template-provisioning counters: cache/disk/rebuild/
+  capture — printed and added to the JSON report),
   ``--workload NAME|FILE`` (a named stationary workload from
   ``repro workload list``, or a recorded-workload JSON file every
   member replays), ``--phases NAME`` (a named time-varying phase plan:
@@ -43,15 +40,14 @@ Commands:
   ``--daemon``: record the raw streamed event lines),
   ``-o/--output PATH`` (write the canonical JSON report).
 * ``serve``              — run the simulation daemon: a long-lived
-  process owning a persistent worker pool, snapshot/result caches,
-  and a resident shared-memory template arena, serving concurrent
-  fleet/oracle/experiment jobs over HTTP + JSON lines with streaming
-  partial reports, fair multi-tenant scheduling, and cancellation
-  (docs/SERVE.md).  Options: ``--port P`` (0 = ephemeral), ``--host
-  H``, ``--jobs N|auto``, ``--root PATH`` (persistent state dir; the
-  default is a scratch dir removed at shutdown), ``--ready-file
-  PATH`` (write ``{"url", "pid"}`` once listening), ``--stream-every
-  N``, ``--template-budget-mb N``; ``serve --stop URL`` asks a
+  process owning a persistent worker pool and template/result caches,
+  serving concurrent fleet/oracle/experiment jobs over HTTP + JSON
+  lines with streaming partial reports, fair multi-tenant scheduling,
+  and cancellation (docs/SERVE.md).  Options: ``--port P`` (0 =
+  ephemeral), ``--host H``, ``--jobs N|auto``, ``--root PATH``
+  (persistent state dir; the default is a scratch dir removed at
+  shutdown), ``--ready-file PATH`` (write ``{"url", "pid"}`` once
+  listening), ``--stream-every N``; ``serve --stop URL`` asks a
   running daemon to shut down.
 * ``workload``           — the session-IR toolbox (docs/WORKLOAD.md):
   ``workload list`` names the registries; ``workload show NAME``
@@ -153,7 +149,7 @@ _FLEET_USAGE = (
     " [--policy NAME]... [--faults F] [--oracle RATE]"
     " [--jobs N|auto] [--shard-size N] [--seed N]"
     " [--checkpoint PATH] [--checkpoint-every N]"
-    " [--stats] [--verify-deltas] [--no-arena]"
+    " [--stats]"
     " [--workload NAME|FILE] [--phases NAME]"
     " [--daemon URL] [--events-log PATH] [-o PATH]"
 )
@@ -194,8 +190,6 @@ def fleet_command(args: list[str]) -> int:
     checkpoint_path: str | None = None
     checkpoint_every: int | None = None
     collect_stats = False
-    verify_deltas = False
-    use_arena = True
     workload_arg: str | None = None
     phases_arg: str | None = None
     daemon_url: str | None = None
@@ -226,10 +220,6 @@ def fleet_command(args: list[str]) -> int:
                     return 2
             elif arg == "--stats":
                 collect_stats = True
-            elif arg == "--verify-deltas":
-                verify_deltas = True
-            elif arg == "--no-arena":
-                use_arena = False
             elif arg == "--workload":
                 workload_arg = next(walker)
             elif arg == "--phases":
@@ -295,8 +285,6 @@ def fleet_command(args: list[str]) -> int:
             ("--checkpoint", checkpoint_path is not None),
             ("--checkpoint-every", checkpoint_every is not None),
             ("--stats", collect_stats),
-            ("--verify-deltas", verify_deltas),
-            ("--no-arena", not use_arena),
             ("--jobs", jobs is not None),
         ] if given]
         if local_only:
@@ -316,12 +304,10 @@ def fleet_command(args: list[str]) -> int:
         result = run_fleet(
             spec,
             jobs=jobs,
-            use_arena=use_arena,
             checkpoint_path=checkpoint_path,
             checkpoint_every=(checkpoint_every
                               if checkpoint_every is not None
                               else DEFAULT_CHECKPOINT_EVERY),
-            verify_deltas=verify_deltas,
             collect_stats=collect_stats,
         )
     except (FleetError, OracleError, WorkloadError, ServeError) as error:

@@ -297,10 +297,21 @@ def two_orientation_resources(
     return table
 
 
+#: Filler specs by ``(start_id, index)``, shared by every layout that
+#: asks for them: a spec is never mutated after construction (layouts
+#: already share one widget list between orientations), and the corpora
+#: would otherwise construct thousands of identical specs.
+_FILLER: dict[tuple[int, int], ViewSpec] = {}
+
+
 def filler_views(count: int, start_id: int = 100) -> list[ViewSpec]:
     """``count`` plain TextViews with consecutive ids (generic UI bulk)."""
-    return [
-        ViewSpec("TextView", view_id=start_id + index,
-                 attrs={"text": f"filler-{index}"})
-        for index in range(count)
-    ]
+    views = []
+    for index in range(count):
+        spec = _FILLER.get((start_id, index))
+        if spec is None:
+            spec = _FILLER[start_id, index] = ViewSpec(
+                "TextView", view_id=start_id + index,
+                attrs={"text": f"filler-{index}"})
+        views.append(spec)
+    return views

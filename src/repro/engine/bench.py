@@ -32,15 +32,13 @@ costs more than it saves, and the report says so honestly — the
 instead (``BENCH_fleet.json``): cohort spawning by template fork vs
 per-device cold setup (the gated speedup — session play time is
 identical by construction, so the spawn path is timed on its own),
-end-to-end fleet runs in serial, sharded (arena and disk-only), and
-cold-setup form, all gated byte-identical, the delta-snapshot residue
-of a diverged device (gated smaller than the full payload), and a
-**devices × jobs scaling curve**: each point runs in its own
-subprocess so its peak RSS (``ru_maxrss``, self and pool children) is
-an honest high-water mark, and ``--check`` gates the bounded-memory
-claim — RSS at the largest point must stay within a small constant of
-the smallest, because the executor streams accumulators instead of
-materialising devices.
+end-to-end fleet runs in serial, sharded, and cold-setup form, all
+gated byte-identical, and a **devices × jobs scaling curve**: each
+point runs in its own subprocess so its peak RSS (``ru_maxrss``, self
+and pool children) is an honest high-water mark, and ``--check`` gates
+the bounded-memory claim — RSS at the largest point must stay within a
+small constant of the smallest, because the executor streams
+accumulators instead of materialising devices.
 
 ``--resume-check`` additionally starts a checkpointed fleet run in a
 subprocess, SIGKILLs it once the first checkpoint lands, resumes it,
@@ -290,11 +288,10 @@ def bench_fleet(
     serial_s, serial = _timed(lambda: [run_fleet(spec, jobs=1)])
     golden = serial[0].to_json()
     # At least two workers, so the identity gates exercise the real
-    # pool (arena, work stealing) even on a single-core host.
+    # pool (disk-provisioned templates, work stealing) even on a
+    # single-core host.
     pool_jobs = max(2, jobs)
     sharded_s, sharded = _timed(lambda: [run_fleet(spec, jobs=pool_jobs)])
-    noarena_s, noarena = _timed(
-        lambda: [run_fleet(spec, jobs=pool_jobs, use_arena=False)])
     cold_s, cold = _timed(
         lambda: [run_fleet(spec, jobs=1, use_templates=False)])
 
@@ -307,11 +304,9 @@ def bench_fleet(
             "forked_s": round(spawn_forked_s, 4),
             "speedup": round(spawn_cold_s / spawn_forked_s, 2),
         },
-        "delta": _bench_delta_residue(spec),
         "seconds": {
             "serial": round(serial_s, 4),
             "sharded": round(sharded_s, 4),
-            "sharded_noarena": round(noarena_s, 4),
             "cold_setup": round(cold_s, 4),
         },
         "speedup_vs_serial": {
@@ -319,36 +314,8 @@ def bench_fleet(
         },
         "identical_to_serial": {
             "sharded": sharded[0].to_json() == golden,
-            "sharded_noarena": noarena[0].to_json() == golden,
             "cold_setup": cold[0].to_json() == golden,
         },
-    }
-
-
-def _bench_delta_residue(spec) -> dict[str, Any]:
-    """Delta-snapshot residue of one diverged device vs the full payload.
-
-    The claim behind delta snapshots: a device a short session past its
-    fork point differs from the cohort template by ~KB of counters and
-    slots, not by its ~MB payload.  Measured (and the round trip
-    verified) on a real fork of the first cell's template.
-    """
-    from repro.fleet.run import capture_template
-    from repro.sim.snapshot import SystemSnapshot
-
-    template = capture_template(spec, 0)
-    fork = template.restore()
-    fork.rotate()
-    fork.run_for(350.0)
-    full = SystemSnapshot.capture(fork)
-    delta = full.delta_from(template)
-    full_bytes = len(bytes(full.payload))
-    return {
-        "template_bytes": len(bytes(template.payload)),
-        "full_bytes": full_bytes,
-        "delta_bytes": delta.size_bytes,
-        "ratio": round(delta.size_bytes / full_bytes, 4),
-        "round_trip_identical": delta.apply(template) == bytes(full.payload),
     }
 
 
@@ -607,10 +574,9 @@ def run_fleet_bench(
 def check_fleet_report(report: dict[str, Any]) -> list[str]:
     """Acceptance failures for a fleet benchmark (empty = pass).
 
-    Gated: sharded (arena and disk-only) and cold-setup runs
-    byte-identical to serial; forked cohort spawning faster than
-    per-device cold setup; the delta residue round-trip identical and
-    smaller than the full payload; every scaling-curve point completed
+    Gated: sharded and cold-setup runs byte-identical to serial; forked
+    cohort spawning faster than per-device cold setup; every
+    scaling-curve point completed
     with peak RSS at the largest device count within
     ``SCALING_RSS_BOUND`` of the smallest (same jobs value); phased
     (time-varying) fleets byte-identical across job counts with every
@@ -632,15 +598,6 @@ def check_fleet_report(report: dict[str, Any]) -> list[str]:
             f"fleet: forked spawn ({spawn['forked_s']}s) not faster than "
             f"cold setup ({spawn['cold_s']}s)"
         )
-    delta = data.get("delta")
-    if delta is not None:
-        if not delta["round_trip_identical"]:
-            failures.append("fleet: delta round trip not byte-identical")
-        if delta["delta_bytes"] >= delta["full_bytes"]:
-            failures.append(
-                f"fleet: delta residue ({delta['delta_bytes']}B) not "
-                f"smaller than the full payload ({delta['full_bytes']}B)"
-            )
     curve = report.get("scaling")
     if curve is None:
         failures.append("fleet: scaling curve missing")
@@ -724,18 +681,10 @@ def format_fleet_report(report: dict[str, Any]) -> str:
         f"({spawn['speedup']}x)",
         f"  end-to-end: serial {seconds['serial']}s | sharded "
         f"{seconds['sharded']}s "
-        f"({data['speedup_vs_serial']['sharded']}x) | disk-only "
-        f"{seconds['sharded_noarena']}s | cold setup "
+        f"({data['speedup_vs_serial']['sharded']}x) | cold setup "
         f"{seconds['cold_setup']}s",
         f"  byte-identical to serial: {'yes' if identical else 'NO'}",
     ]
-    delta = data.get("delta")
-    if delta is not None:
-        lines.append(
-            f"  delta residue: {delta['delta_bytes']}B of "
-            f"{delta['full_bytes']}B full payload "
-            f"({100 * delta['ratio']:.1f}%)"
-        )
     for point in report.get("scaling", []):
         if point.get("ok"):
             lines.append(

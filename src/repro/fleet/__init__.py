@@ -14,13 +14,6 @@ from repro.fleet.aggregate import (
     LatencySketch,
     OracleAccumulator,
 )
-from repro.fleet.arena import (
-    ArenaHandle,
-    TemplateArena,
-    arena_available,
-    arena_get,
-    arena_stats,
-)
 from repro.fleet.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
     FleetCheckpoint,
@@ -32,7 +25,6 @@ from repro.fleet.faults import NO_FAULTS, DeviceFaults, FaultPlan
 from repro.fleet.population import (
     DEFAULT_POPULATION,
     PopulationSpec,
-    device_script,
     device_workload,
     fleet_corpus,
 )
@@ -51,7 +43,6 @@ from repro.fleet.run import (
 )
 
 __all__ = [
-    "ArenaHandle",
     "CohortAccumulator",
     "DEFAULT_CHECKPOINT_EVERY",
     "DEFAULT_POPULATION",
@@ -66,11 +57,6 @@ __all__ = [
     "OracleAccumulator",
     "PopulationSpec",
     "Shard",
-    "TemplateArena",
-    "arena_available",
-    "arena_get",
-    "arena_stats",
-    "device_script",
     "device_workload",
     "fleet_corpus",
     "format_fleet_report",

@@ -121,8 +121,3 @@ def run_device(
         ops=result.ops_played,
         faulted=faults.any,
     )
-
-
-def _kill_app_process(system: "AndroidSystem", package: str) -> None:
-    """Legacy alias; the shared driver owns process kills now."""
-    kill_app_process(system, package)

@@ -21,8 +21,8 @@ Two responsibilities:
 
 The generator core (and :class:`PopulationSpec` itself, validated at
 construction) lives in :mod:`repro.workload.generate`; this module
-re-exports it so fleet callers keep one import site.
-:func:`device_script` is the legacy tuple view of the same program::
+re-exports it so fleet callers keep one import site.  The program's
+tuple view (``device_workload(...).to_tuples()``) reads::
 
     ("rotate",) ("resize", w, h) ("locale", "fr-FR") ("night", True)
     ("write", step) ("async",) ("kill",) ("wait", gap_ms)
@@ -62,18 +62,6 @@ ASYNC_TARGET_ID = 11
 
 def is_config_change(op: tuple) -> bool:
     return op[0] in CONFIG_CHANGE_KINDS
-
-
-def device_script(
-    population: PopulationSpec, seed: int, member: int
-) -> tuple[tuple, ...]:
-    """The session script of fleet member ``member``, as op tuples.
-
-    Same program as :func:`device_workload` (byte-identical tuple
-    encoding, same RNG stream) — kept for callers and tests that speak
-    the tuple wire form.
-    """
-    return device_workload(population, seed, member).to_tuples()
 
 
 def template_value(slot_name: str) -> str:

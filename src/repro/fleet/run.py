@@ -34,12 +34,10 @@ checkpoint and produces the byte-identical report.
 Memory stays bounded by recycling: a shard worker materialises one
 device at a time, folds it into the shard accumulator, and drops it —
 peak RSS scales with one device plus one accumulator, independent of
-the fleet size.  Template bytes are zero-copy: the coordinator
-publishes every cohort template into a shared-memory arena
-(``fleet/arena.py``) read by all workers through memoryviews — one
-copy per host — with the per-worker disk cache as fallback and a cold
-rebuild as the byte-identical last resort
-(:func:`template_cache_stats` counts every path).
+the fleet size.  Templates reach a worker through one chain: its
+per-process cache, then the coordinator's disk store, then a cold
+rebuild as the byte-identical last resort (:func:`template_cache_stats`
+counts every path).
 """
 
 from __future__ import annotations
@@ -55,15 +53,8 @@ from typing import Callable, Sequence
 from repro.engine.batch import POLICIES, _resolve_jobs
 from repro.engine.fingerprint import fingerprint
 from repro.engine.snapshots import SnapshotStore
-from repro.errors import FleetError, SnapshotError
+from repro.errors import FleetError
 from repro.fleet.aggregate import CohortAccumulator, OracleAccumulator
-from repro.fleet.arena import (
-    ArenaHandle,
-    TemplateArena,
-    arena_get,
-    arena_stats,
-    _reset_arena_stats,
-)
 from repro.fleet.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
     FleetCheckpoint,
@@ -234,20 +225,19 @@ def capture_template(spec: FleetSpec, cell_index: int) -> SystemSnapshot:
 
 
 # ----------------------------------------------------------------------
-# per-worker template cache (one arena attach / disk read per worker
-# process, not per fork — see tests/fleet/test_fleet_run.py)
+# per-worker template cache (one disk read per worker process, not per
+# fork — see tests/fleet/test_fleet_run.py)
 # ----------------------------------------------------------------------
 #: Most templates kept hot per process.  Batch runs never get near it;
 #: the bound exists for daemon-lifetime workers (repro.serve), whose
 #: processes outlive any one spec and would otherwise accrete every
 #: template they ever touched.  Eviction is LRU (dict order, re-inserted
-#: on hit); an evicted template is simply re-read from arena or disk.
+#: on hit); an evicted template is simply re-read from disk.
 _TEMPLATE_CACHE_CAP = 64
 _TEMPLATE_CACHE: dict[tuple[str, str], SystemSnapshot] = {}
 _TEMPLATE_DISK_READS = 0
 _TEMPLATE_REBUILDS = 0
 _TEMPLATE_CAPTURES = 0
-_ARENA_FALLBACKS = 0
 
 
 def template_cache_stats() -> dict[str, int]:
@@ -255,29 +245,22 @@ def template_cache_stats() -> dict[str, int]:
 
     ``templates_cached``/``disk_reads``/``rebuilds`` are the PR 5 cache
     counters; ``captures`` counts template builds (coordinator-side and
-    cold rebuilds alike); ``arena_fallbacks`` counts loads that had an
-    arena handle but fell through to disk/rebuild; the ``arena_*`` keys
-    come from :func:`repro.fleet.arena.arena_stats`.
+    cold rebuilds alike).
     """
     return {
         "templates_cached": len(_TEMPLATE_CACHE),
         "disk_reads": _TEMPLATE_DISK_READS,
         "rebuilds": _TEMPLATE_REBUILDS,
         "captures": _TEMPLATE_CAPTURES,
-        "arena_fallbacks": _ARENA_FALLBACKS,
-        **arena_stats(),
     }
 
 
 def _reset_template_cache() -> None:
-    global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS
-    global _TEMPLATE_CAPTURES, _ARENA_FALLBACKS
+    global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS, _TEMPLATE_CAPTURES
     _TEMPLATE_CACHE.clear()
     _TEMPLATE_DISK_READS = 0
     _TEMPLATE_REBUILDS = 0
     _TEMPLATE_CAPTURES = 0
-    _ARENA_FALLBACKS = 0
-    _reset_arena_stats()
 
 
 def _load_worker_template(
@@ -285,15 +268,14 @@ def _load_worker_template(
     key: str,
     spec: FleetSpec,
     cell_index: int,
-    arena: "ArenaHandle | None" = None,
     *,
     persist: bool = False,
 ) -> SystemSnapshot:
-    """The cell's template: cache, arena, disk, or a cold rebuild.
+    """The cell's template: cache, disk, or a cold rebuild.
 
     Every tier degrades to the next as a **miss, not an error**: a
-    vanished shared-memory segment, a template truncated on disk by a
-    crashed coordinator — templates are a pure optimisation under the
+    missing template file, a template truncated on disk by a crashed
+    coordinator — templates are a pure optimisation under the
     fork-equals-fresh contract, so the worst case is rebuilding the
     snapshot cold, byte-identical and merely slower.
 
@@ -302,27 +284,22 @@ def _load_worker_template(
     run (or a daemon's next request) finds the template warm.  Workers
     never persist; the coordinator owns the store's contents.
     """
-    global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS, _ARENA_FALLBACKS
+    global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS
     cache_key = (str(root), key)
     snap = _TEMPLATE_CACHE.get(cache_key)
     if snap is not None:
         # Re-insert on hit so dict order stays LRU for the cap below.
         _TEMPLATE_CACHE[cache_key] = _TEMPLATE_CACHE.pop(cache_key)
         return snap
-    if arena is not None:
-        snap = arena_get(arena, key)
-        if snap is None:
-            _ARENA_FALLBACKS += 1
+    store = SnapshotStore(root=root)
+    snap = store._read_disk(key)
     if snap is None:
-        store = SnapshotStore(root=root)
-        snap = store._read_disk(key)
-        if snap is None:
-            snap = capture_template(spec, cell_index)
-            _TEMPLATE_REBUILDS += 1
-            if persist:
-                store.put(key, snap)
-        else:
-            _TEMPLATE_DISK_READS += 1
+        snap = capture_template(spec, cell_index)
+        _TEMPLATE_REBUILDS += 1
+        if persist:
+            store.put(key, snap)
+    else:
+        _TEMPLATE_DISK_READS += 1
     _TEMPLATE_CACHE[cache_key] = snap
     while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_CAP:
         _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
@@ -374,44 +351,13 @@ class ShardOutcome:
     attached only when the run collects stats."""
 
 
-def _verify_device_delta(
-    system: AndroidSystem, template: SystemSnapshot
-) -> None:
-    """Spot-check the delta codec against a full snapshot of ``system``.
-
-    The device's end state expressed as (template + delta) must compose
-    back to the byte-identical full payload, and the composed snapshot
-    must itself restore.  Raises :class:`~repro.errors.SnapshotError`
-    on any divergence — ``--verify-deltas`` turns silent codec bugs
-    into loud ones.
-    """
-    full = SystemSnapshot.capture(system)
-    try:
-        delta = full.delta_from(template)
-    except SnapshotError:
-        # A process death mid-session relaunched the app with this
-        # worker's own spec object, so the device no longer shares the
-        # template's externalised inputs and cannot be expressed as a
-        # delta at all.  Verify the codec on a fresh fork instead —
-        # same template, shared externals by construction.
-        full = SystemSnapshot.capture(template.restore())
-        delta = full.delta_from(template)
-    composed = delta.apply(template)
-    if composed != bytes(full.payload):
-        raise SnapshotError(
-            "delta verification failed: template + delta does not "
-            "reproduce the device's full snapshot payload"
-        )
-    delta.restore(template)  # must come back to life, not just to bytes
-
-
 def member_workload(spec: FleetSpec, member: int) -> Workload:
     """Member ``member``'s session IR under ``spec`` (pure in spec+member).
 
     Three sources, in precedence order: a fixed ``spec.workload``
     replayed by every member, a time-varying ``spec.phases`` plan, or
     the stationary ``spec.population`` distribution (the default —
-    byte-identical to the pre-IR ``device_script`` path).
+    byte-identical to the pre-IR tuple generator).
     """
     if spec.workload is not None:
         return spec.workload
@@ -425,8 +371,6 @@ def _run_shard(
     shard: Shard,
     template: SystemSnapshot | None,
     oracle_templates: "dict[str, SystemSnapshot | None] | None" = None,
-    *,
-    verify_deltas: bool = False,
 ) -> ShardOutcome:
     """Fold one shard's devices, in member order, into an accumulator.
 
@@ -439,9 +383,6 @@ def _run_shard(
     differential oracle: each sampled member's session is re-run under
     every policy from the shared templates and the verdicts folded into
     the shard's :class:`~repro.fleet.aggregate.OracleAccumulator`.
-
-    ``verify_deltas`` spot-checks the delta-snapshot codec on the
-    shard's first device (see :func:`_verify_device_delta`).
     """
     app, policy = spec.cells()[shard.cell_index]
     accumulator = CohortAccumulator(app.package, policy)
@@ -457,8 +398,6 @@ def _run_shard(
             spec.faults, member,
         )
         accumulator.add(outcome)
-        if verify_deltas and template is not None and member == shard.start:
-            _verify_device_delta(system, template)
         del system  # recycle before the next device
 
     oracle_acc: OracleAccumulator | None = None
@@ -488,20 +427,16 @@ def _run_shard(
 def _run_shard_task(payload) -> ShardOutcome:
     """Self-contained shard body: templates via the per-process cache.
 
-    ``payload`` is ``(spec, shard, root, key, oracle_keys)`` with an
-    optional sixth :class:`~repro.fleet.arena.ArenaHandle` element —
-    kept as the spec-carrying entry point for tests and for hosts where
-    the initializer-based pool is unavailable.
+    ``payload`` is ``(spec, shard, root, key, oracle_keys)`` — kept as
+    the spec-carrying entry point for tests and for the serve daemon's
+    persistent workers.
     """
-    spec, shard, root, key, oracle_keys = payload[:5]
-    arena = payload[5] if len(payload) > 5 else None
-    template = _load_worker_template(root, key, spec, shard.cell_index,
-                                     arena)
+    spec, shard, root, key, oracle_keys = payload
+    template = _load_worker_template(root, key, spec, shard.cell_index)
     oracle_templates = None
     if oracle_keys:
         oracle_templates = {
-            policy: _load_worker_template(root, pol_key, spec, cell_index,
-                                          arena)
+            policy: _load_worker_template(root, pol_key, spec, cell_index)
             for policy, (cell_index, pol_key) in oracle_keys.items()
         }
     return _run_shard(spec, shard, template, oracle_templates)
@@ -515,28 +450,19 @@ def _run_shard_task(payload) -> ShardOutcome:
 # payloads would serialise the spec thousands of times over.
 _WORKER_SPEC: FleetSpec | None = None
 _WORKER_ROOT: str | None = None
-_WORKER_ARENA: ArenaHandle | None = None
 _WORKER_COLLECT_STATS = False
-_WORKER_VERIFY_DELTAS = False
 
 
 def _fleet_worker_init(
-    spec: FleetSpec,
-    root: str,
-    arena: "ArenaHandle | None",
-    collect_stats: bool,
-    verify_deltas: bool,
+    spec: FleetSpec, root: str, collect_stats: bool
 ) -> None:
-    global _WORKER_SPEC, _WORKER_ROOT, _WORKER_ARENA
-    global _WORKER_COLLECT_STATS, _WORKER_VERIFY_DELTAS
+    global _WORKER_SPEC, _WORKER_ROOT, _WORKER_COLLECT_STATS
     # Forked workers inherit the coordinator's counters; zero them so a
     # worker's stats report covers exactly its own work.
     _reset_template_cache()
     _WORKER_SPEC = spec
     _WORKER_ROOT = root
-    _WORKER_ARENA = arena
     _WORKER_COLLECT_STATS = collect_stats
-    _WORKER_VERIFY_DELTAS = verify_deltas
 
 
 def _run_shard_entry(task) -> ShardOutcome:
@@ -544,19 +470,9 @@ def _run_shard_entry(task) -> ShardOutcome:
     shard, key, oracle_keys = task
     spec = _WORKER_SPEC
     assert spec is not None and _WORKER_ROOT is not None
-    template = _load_worker_template(
-        _WORKER_ROOT, key, spec, shard.cell_index, _WORKER_ARENA
+    outcome = _run_shard_task(
+        (spec, shard, _WORKER_ROOT, key, oracle_keys)
     )
-    oracle_templates = None
-    if oracle_keys:
-        oracle_templates = {
-            policy: _load_worker_template(
-                _WORKER_ROOT, pol_key, spec, cell_index, _WORKER_ARENA
-            )
-            for policy, (cell_index, pol_key) in oracle_keys.items()
-        }
-    outcome = _run_shard(spec, shard, template, oracle_templates,
-                         verify_deltas=_WORKER_VERIFY_DELTAS)
     if _WORKER_COLLECT_STATS:
         outcome.stats = {"pid": os.getpid(), **template_cache_stats()}
     return outcome
@@ -570,21 +486,6 @@ def steal_order(shards: Sequence[Shard]) -> list[Shard]:
     this only shapes the wall-clock tail.
     """
     return sorted(shards, key=lambda s: (-s.devices, s.shard_id))
-
-
-def _delta_bases(spec: FleetSpec, keys: dict[int, str]) -> dict[str, str]:
-    """Arena delta mapping: sibling-policy templates of one app share
-    most of their payload, so store them as patches against the app's
-    first-policy (base) template.  Cells are app-major, so the base
-    cell of ``cell_index`` is the first cell of the same app-block.
-    """
-    policies = len(spec.policies)
-    bases: dict[str, str] = {}
-    for cell_index, key in keys.items():
-        base_index = (cell_index // policies) * policies
-        if base_index != cell_index and base_index in keys:
-            bases[key] = keys[base_index]
-    return bases
 
 
 # ----------------------------------------------------------------------
@@ -702,10 +603,8 @@ def run_fleet(
     shard_ids: Sequence[int] | None = None,
     snapshot_root: str | None = None,
     use_templates: bool = True,
-    use_arena: bool = True,
     checkpoint_path: str | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
-    verify_deltas: bool = False,
     collect_stats: bool = False,
 ) -> FleetResult:
     """Run a fleet (or a subset of its shards) and aggregate it.
@@ -715,8 +614,7 @@ def run_fleet(
     ``shard_ids`` restricts execution to a subset of the plan — partial
     runs merge back together with :func:`merge_fleet_results`.
     ``use_templates=False`` is the benchmark's cold path (per-device
-    setup instead of cohort forking); ``use_arena=False`` forces the
-    per-worker disk cache even where shared memory is available.
+    setup instead of cohort forking).
 
     ``checkpoint_path`` makes the run resumable: completed shards are
     periodically published there (every ``checkpoint_every`` folds,
@@ -727,8 +625,7 @@ def run_fleet(
     ``shard_ids`` subset (partial coverage would be recorded as fleet
     progress).
 
-    ``verify_deltas`` spot-checks the delta-snapshot codec on every
-    shard's first device; ``collect_stats`` attaches aggregated
+    ``collect_stats`` attaches aggregated
     template-provisioning counters as ``result.cache_stats`` (and a
     ``"cache"`` report section).
     """
@@ -818,8 +715,7 @@ def run_fleet(
         if workers <= 1 or len(todo) <= 1 or not use_templates:
             # Serial bypass: a resolved jobs of 1 (explicit --jobs 1, or
             # --jobs auto on a one-core host) skips the process pool
-            # entirely — no pool spawn, no arena publish, no per-task
-            # pickling.  BENCH_fleet.json's forced-pool `sharded` row
+            # entirely — no pool spawn, no per-task pickling.  BENCH_fleet.json's forced-pool `sharded` row
             # shows why: on one core the pool costs more than it buys.
             # With a snapshot_root the bypass still provisions templates
             # through the store (memory -> disk -> rebuild-and-persist),
@@ -845,14 +741,12 @@ def run_fleet(
                      for policy, cell_index
                      in oracle_cells.get(shard.shard_id, {}).items()}
                     or None,
-                    verify_deltas=verify_deltas,
                 )
                 fold(shard, outcome)
         else:
             _run_sharded(
                 spec, todo, all_cells, oracle_cells, workers,
-                snapshot_root, use_arena, collect_stats, verify_deltas,
-                fold, worker_stats,
+                snapshot_root, collect_stats, fold, worker_stats,
             )
 
     if checkpoint_path is not None and (
@@ -895,42 +789,28 @@ def _run_sharded(
     oracle_cells: dict[int, dict[str, int]],
     workers: int,
     snapshot_root: str | None,
-    use_arena: bool,
     collect_stats: bool,
-    verify_deltas: bool,
     fold: Callable[[Shard, ShardOutcome], None],
     worker_stats: dict[int, dict],
 ) -> None:
     """Work-steal shards across a process pool, folding on completion.
 
-    Templates are published to the shared-memory arena (zero-copy hot
-    path) *and* the disk store (the fallback tier); each shard is its
-    own pool task, submitted largest-first through a bounded in-flight
+    Templates are published to the disk store, which each worker reads
+    once per template into its process cache; each shard is its own pool
+    task, submitted largest-first through a bounded in-flight
     window, so idle workers always pull the next undone shard and
     ``fold`` (hence checkpointing) sees outcomes as they land.
     """
     root = snapshot_root or tempfile.mkdtemp(prefix="repro-fleet-templates-")
     cleanup = snapshot_root is None
-    arena: TemplateArena | None = None
     try:
         store = SnapshotStore(root=root)
         keys: dict[int, str] = {}
-        snapshots: dict[str, SystemSnapshot] = {}
         for cell_index in needed_cells:
             key = template_key(spec, cell_index)
             keys[cell_index] = key
-            snap = store._read_disk(key)
-            if snap is None:
-                snap = capture_template(spec, cell_index)
-                store.put(key, snap)
-            snapshots[key] = snap
-        handle: ArenaHandle | None = None
-        if use_arena:
-            arena = TemplateArena.publish(
-                snapshots, _delta_bases(spec, keys)
-            )
-            if arena is not None:
-                handle = arena.handle
+            if store._read_disk(key) is None:
+                store.put(key, capture_template(spec, cell_index))
 
         def oracle_keys(shard: Shard):
             mapping = oracle_cells.get(shard.shard_id)
@@ -960,11 +840,10 @@ def _run_sharded(
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_fleet_worker_init,
-                initargs=(spec, root, handle, collect_stats, verify_deltas),
+                initargs=(spec, root, collect_stats),
             )
         except (OSError, ValueError):  # no usable multiprocessing here
-            _fleet_worker_init(spec, root, handle, collect_stats,
-                              verify_deltas)
+            _fleet_worker_init(spec, root, collect_stats)
             for task in tasks:
                 outcome = _run_shard_entry(task)
                 record(outcome)
@@ -988,8 +867,6 @@ def _run_sharded(
                     record(outcome)
                     fold(shard, outcome)
     finally:
-        if arena is not None:
-            arena.destroy()
         if cleanup:
             shutil.rmtree(root, ignore_errors=True)
 

@@ -1,9 +1,8 @@
 """repro.serve: fleet-as-a-service — a warm simulation daemon.
 
 ``python -m repro serve`` starts a long-running asyncio daemon that
-owns a persistent worker pool, a process-wide snapshot store and
-result cache, and a resident shared-memory template arena, and serves
-concurrent fleet / oracle / experiment jobs over a small HTTP +
+owns a persistent worker pool, a process-wide template store and
+result cache, and serves concurrent fleet / oracle / experiment jobs over a small HTTP +
 JSON-lines protocol with streaming partial reports and cancellation.
 ``repro fleet --daemon URL`` is the thin client (falling back to
 in-process execution when the daemon is unreachable); reports are

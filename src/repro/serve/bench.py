@@ -5,15 +5,15 @@ measures what fleet-as-a-service actually buys on this host and writes
 ``BENCH_serve.json``.  The comparison is *request latency*, daemon
 amortisation included by design: a cold CLI invocation pays interpreter
 boot plus every cohort template build on every call, while a warm
-daemon request reuses the resident arena and the workers' own caches.
+daemon request reuses its template store and the workers' own caches.
 
 Gated (``--check`` exits non-zero on violation):
 
 * **warm speedup** — a warm daemon request at least
   ``SERVE_WARM_SPEEDUP_GATE``× faster than the cold CLI run of the
   identical spec;
-* **warm reuse** — the second request hit the resident template arena
-  (``template_warm_hits`` advanced; nothing was rebuilt);
+* **warm reuse** — the second request found its templates in the
+  daemon's store (``template_warm_hits`` advanced; nothing was rebuilt);
 * **byte identity** — the daemon's report (first and warm alike) is
   byte-identical to the CLI's ``-o`` file for the same params.
 
@@ -204,7 +204,7 @@ def check_serve_report(report: dict[str, Any]) -> list[str]:
         )
     if report["warm_template_hits"] <= 0:
         failures.append(
-            "second request did not hit the resident template arena"
+            "second request did not reuse the daemon's stored templates"
         )
     for pair, same in report["identical"].items():
         if not same:

@@ -2,10 +2,10 @@
 
 One asyncio process owns everything the batch paths normally rebuild
 per invocation — a :class:`~repro.engine.pool.PersistentPool` of
-workers, a disk :class:`~repro.engine.snapshots.SnapshotStore` and
-:class:`~repro.engine.cache.ResultCache`, and a refcounted
-:class:`~repro.fleet.arena.ResidentArena` of cohort templates — and
-serves jobs over a minimal HTTP/1.1 + JSON-lines protocol:
+workers, a :class:`~repro.engine.snapshots.SnapshotStore` of cohort
+templates (memory, then disk) and a
+:class:`~repro.engine.cache.ResultCache` — and serves jobs over a
+minimal HTTP/1.1 + JSON-lines protocol:
 
 * ``POST /jobs``                — submit ``{"kind", "params", "client"}``;
   responds with the job id.
@@ -15,11 +15,11 @@ serves jobs over a minimal HTTP/1.1 + JSON-lines protocol:
   ``cancelled`` / ``error``), then EOF.
 * ``GET /jobs/<id>``            — one-shot job snapshot.
 * ``DELETE /jobs/<id>``         — cancel: pending units are dropped,
-  in-flight results discarded, template references released.
-* ``GET /status``               — daemon counters (resident arena,
+  in-flight results discarded.
+* ``GET /status``               — daemon counters (resident templates,
   cache sizes, pool shape) for monitoring and the bench's warm gates.
 * ``POST /shutdown``            — graceful stop: acknowledge, then
-  drain the pool, destroy the arena, remove owned scratch state.
+  drain the pool, remove owned scratch state.
 
 Scheduling is shard-granular and client-fair (``serve/queue.py``);
 results are byte-identical to the CLI by construction, because the
@@ -53,7 +53,6 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.fleet.arena import DEFAULT_RESIDENT_BUDGET, ResidentArena
 from repro.serve import tasks
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -90,8 +89,6 @@ class _FleetState:
         self.completed: set[int] = set()
         self.devices = 0
         self.captures_pending: set[int] = set()
-        self.handle = None
-        self.acquired: tuple[str, ...] = ()
         self.folds_since_partial = 0
 
     def partial_result(self):
@@ -118,7 +115,6 @@ class Daemon:
         jobs: "int | str" = "auto",
         root: str | None = None,
         stream_every: int = DEFAULT_STREAM_EVERY,
-        template_budget: int = DEFAULT_RESIDENT_BUDGET,
     ):
         self.workers = _resolve_jobs(jobs, os.cpu_count() or 1)
         self._owns_root = root is None
@@ -127,7 +123,6 @@ class Daemon:
         self.template_root = os.path.join(self.root, "templates")
         self.store = SnapshotStore(root=self.template_root)
         self.cache = ResultCache(root=os.path.join(self.root, "results"))
-        self.resident = ResidentArena(template_budget)
         self.pool = PersistentPool(self.workers)
         self.scheduler = FairScheduler()
         self.jobs: dict[str, Job] = {}
@@ -194,18 +189,12 @@ class Daemon:
         state = _FleetState(spec, shards, oracle_cells, keys)
         job.fleet = state
 
-        # Provision templates: resident arena (warm) -> disk store ->
+        # Provision templates: the store (memory, then disk) or a
         # capture in the pool.  Shard units wait until every template
-        # is resident, so a cold cell is built exactly once instead of
+        # is stored, so a cold cell is built exactly once instead of
         # once per worker.
         for cell_index, key in keys.items():
-            if self.resident.warm(key):
-                continue
-            snap = self.store._read_disk(key)
-            if snap is not None:
-                # Disk-warm: publish best-effort; with no usable shared
-                # memory the workers read the store directly instead.
-                self.resident.publish(key, snap)
+            if self.store.get(key) is not None:
                 continue
             state.captures_pending.add(cell_index)
             job.add_unit(tasks.capture_template_unit, (spec, cell_index),
@@ -217,14 +206,10 @@ class Daemon:
             self._stage_fleet_shards(job)
 
     def _stage_fleet_shards(self, job: Job) -> None:
-        """All templates resident: take references, queue shard units."""
+        """All templates stored: queue the shard units."""
         from repro.fleet.run import steal_order
 
         state = job.fleet
-        wanted = [key for key in state.keys.values()
-                  if key in self.resident]
-        state.handle = self.resident.acquire(wanted)
-        state.acquired = tuple(wanted)
 
         def oracle_keys(shard):
             mapping = state.oracle_cells.get(shard.shard_id)
@@ -237,8 +222,7 @@ class Daemon:
             job.add_unit(
                 tasks.run_shard_unit,
                 (state.spec, shard, self.template_root,
-                 state.keys[shard.cell_index], oracle_keys(shard),
-                 state.handle),
+                 state.keys[shard.cell_index], oracle_keys(shard)),
                 tag=f"shard:{shard.shard_id}",
             )
         job.no_more_units = True
@@ -249,7 +233,6 @@ class Daemon:
             cell_index = int(tag.split(":", 1)[1])
             key = state.keys[cell_index]
             self.store.put(key, result)
-            self.resident.publish(key, result)
             state.captures_pending.discard(cell_index)
             if not state.captures_pending:
                 self._stage_fleet_shards(job)
@@ -278,7 +261,6 @@ class Daemon:
         from repro.fleet.aggregate import OracleAccumulator
 
         state = job.fleet
-        self._release_fleet(job)
         if state.spec.oracle_rate > 0.0 and state.oracle is None:
             state.oracle = OracleAccumulator()
         result = state.partial_result()
@@ -288,12 +270,6 @@ class Daemon:
         job.emit("done", covered_shards=len(state.completed),
                  devices=state.devices, report_json=job.result,
                  exit=exit_code)
-
-    def _release_fleet(self, job: Job) -> None:
-        state = getattr(job, "fleet", None)
-        if state is not None and state.acquired:
-            self.resident.release(state.acquired)
-            state.acquired = ()
 
     # --- oracle --------------------------------------------------------
     def _prepare_oracle(self, job: Job) -> None:
@@ -453,17 +429,15 @@ class Daemon:
     def _fail(self, job: Job, message: str) -> None:
         job.units.clear()
         job.no_more_units = True
-        self._release_fleet(job)
         job.emit("error", message=message, exit=2)
         job.finish("error")
         self.counters["jobs_failed"] += 1
         self.scheduler.discard(job)
 
     def cancel(self, job: Job) -> bool:
-        """Drop the job's pending work and release its templates."""
+        """Drop the job's pending work."""
         if not job.cancel():
             return False
-        self._release_fleet(job)
         job.emit("cancelled", exit=3)
         job.finish("cancelled")
         self.counters["jobs_cancelled"] += 1
@@ -489,23 +463,25 @@ class Daemon:
             "inflight_units": self._inflight,
             "jobs": {job_id: job.state
                      for job_id, job in self.jobs.items()},
-            "resident": self.resident.stats(),
+            "resident": {
+                "templates": len(self.store),
+                "template_warm_hits": self.store.stats.memory_hits,
+            },
             "result_cache_entries": len(self.cache),
             "counters": dict(self.counters),
         }
 
     def shutdown(self) -> None:
-        """Synchronous teardown: pool, arena, owned scratch state.
+        """Synchronous teardown: pool and owned scratch state.
 
         After this returns nothing of the daemon is left on the host —
-        no worker processes, no ``/dev/shm`` segments, and (when the
-        root was daemon-owned) no scratch directory.
+        no worker processes and (when the root was daemon-owned) no
+        scratch directory.
         """
         self._stopping.set()
         for job in list(self.scheduler.jobs()):
             self.cancel(job)
         self.pool.shutdown()
-        self.resident.destroy()
         if self._owns_root:
             shutil.rmtree(self.root, ignore_errors=True)
 
@@ -649,8 +625,7 @@ class _Server:
 _USAGE = (
     "usage: python -m repro serve [--port P] [--host H] [--jobs N|auto]\n"
     "                             [--root PATH] [--ready-file PATH]\n"
-    "                             [--stream-every N]"
-    " [--template-budget-mb N]\n"
+    "                             [--stream-every N]\n"
     "       python -m repro serve --stop URL"
 )
 
@@ -663,7 +638,6 @@ def main(argv: "list[str] | None" = None) -> int:
     root: str | None = None
     ready_file: str | None = None
     stream_every = DEFAULT_STREAM_EVERY
-    budget = DEFAULT_RESIDENT_BUDGET
     stop_url: str | None = None
     walker = iter(argv)
     try:
@@ -682,8 +656,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 ready_file = next(walker)
             elif arg == "--stream-every":
                 stream_every = int(next(walker))
-            elif arg == "--template-budget-mb":
-                budget = int(next(walker)) * 1024 * 1024
             elif arg == "--stop":
                 stop_url = next(walker)
             elif arg in ("-h", "--help"):
@@ -712,13 +684,11 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     return asyncio.run(_serve(host, port, jobs, root, ready_file,
-                              stream_every, budget))
+                              stream_every))
 
 
-async def _serve(host, port, jobs, root, ready_file, stream_every,
-                 budget) -> int:
-    daemon = Daemon(jobs=jobs, root=root, stream_every=stream_every,
-                    template_budget=budget)
+async def _serve(host, port, jobs, root, ready_file, stream_every) -> int:
+    daemon = Daemon(jobs=jobs, root=root, stream_every=stream_every)
     front = _Server(daemon)
     try:
         server = await asyncio.start_server(front.handle, host, port)

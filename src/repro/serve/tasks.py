@@ -23,10 +23,9 @@ __all__ = [
     "run_hunt_unit",
 ]
 
-#: Fleet shard unit: payload ``(spec, shard, root, key, oracle_keys,
-#: arena_handle)`` — the fleet executor's spec-carrying pool entry,
-#: re-exported under the daemon's name so journal/debug tooling shows
-#: where a unit came from.
+#: Fleet shard unit: payload ``(spec, shard, root, key, oracle_keys)`` —
+#: the fleet executor's spec-carrying pool entry, re-exported under the
+#: daemon's name so journal/debug tooling shows where a unit came from.
 run_shard_unit = _run_shard_task
 
 
@@ -35,7 +34,7 @@ def capture_template_unit(payload):
 
     ``payload`` is ``(spec, cell_index)``; returns the captured
     :class:`~repro.sim.snapshot.SystemSnapshot` for the coordinator to
-    publish (resident arena + disk store).  Template builds are the
+    put in its template store (memory + disk).  Template builds are the
     expensive part of a cold fleet request, so the daemon farms them to
     the pool instead of stalling its accept loop.
     """

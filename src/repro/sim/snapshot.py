@@ -49,28 +49,15 @@ Snapshots also serialise to disk (:meth:`SystemSnapshot.to_bytes` /
 value.  The format embeds the interpreter's ``marshal`` version context
 implicitly — loaders must treat unreadable bytes as a cache miss, never
 an error (the engine's snapshot store does).
-
-For population-scale fan-out a third form exists: **delta snapshots**
-(:meth:`SystemSnapshot.delta_from` / :class:`DeltaSnapshot`).  A device
-forked from a cohort template diverges from it by a handful of counters
-and state slots; the delta stores only that divergence as an
-rsync-style binary patch (:func:`bdiff` / :func:`bpatch`), so
-per-device residue is ~KB where the full payload is ~MB.  Composing
-``template + delta`` reconstructs the full payload byte-exactly — a
-delta restore is *provably* the same system as a full-snapshot restore,
-which the fleet's ``--verify-deltas`` flag spot-checks in production
-runs.
 """
 
 from __future__ import annotations
 
 import contextvars
-import hashlib
 import importlib
 import io
 import marshal
 import pickle
-import struct
 import sys
 import types
 from typing import TYPE_CHECKING, Any, Sequence
@@ -220,120 +207,6 @@ def loads(payload: bytes, externals: Sequence[Any] = ()) -> Any:
 
 
 # ----------------------------------------------------------------------
-# binary deltas (rsync-style block matching)
-# ----------------------------------------------------------------------
-#: Block size of the delta matcher.  Small enough that a handful of
-#: changed counters in an otherwise identical pickle stream costs a few
-#: literal runs, large enough that the block index stays cheap.
-DELTA_BLOCK = 32
-
-#: Bump when the patch wire format changes incompatibly.
-DELTA_FORMAT_VERSION = 1
-
-_OP_COPY = 0x01
-_OP_LITERAL = 0x02
-_OP_HEADER = struct.Struct("<BQQ")  # op, arg1, arg2
-
-
-def bdiff(base: bytes, target: bytes, block: int = DELTA_BLOCK) -> bytes:
-    """A compact patch turning ``base`` into ``target``.
-
-    Classic rsync block matching: every ``block``-aligned window of
-    ``base`` is indexed by content, the target is scanned for matching
-    windows, and matches are extended byte-wise in both directions.  The
-    output is a deterministic op stream of *copy* (offset, length into
-    ``base``) and *literal* (length, raw bytes) records — pure data, no
-    pickling — decoded by :func:`bpatch`.  ``bpatch(base, bdiff(base,
-    target)) == target`` holds for arbitrary inputs; similarity only
-    affects the patch size.
-    """
-    base = bytes(base)
-    target = bytes(target)
-    out = [_OP_HEADER.pack(0, DELTA_FORMAT_VERSION, len(target))]
-    if not target:
-        return b"".join(out)
-
-    index: dict[bytes, int] = {}
-    if block <= len(base):
-        for offset in range(0, len(base) - block + 1, block):
-            index.setdefault(base[offset:offset + block], offset)
-
-    def emit_literal(chunk: bytes) -> None:
-        if chunk:
-            out.append(_OP_HEADER.pack(_OP_LITERAL, len(chunk), 0))
-            out.append(chunk)
-
-    literal_start = 0
-    position = 0
-    end = len(target)
-    while position + block <= end:
-        offset = index.get(target[position:position + block])
-        if offset is None:
-            position += 1
-            continue
-        length = block
-        while (position + length < end and offset + length < len(base)
-               and target[position + length] == base[offset + length]):
-            length += 1
-        while (position > literal_start and offset > 0
-               and target[position - 1] == base[offset - 1]):
-            position -= 1
-            offset -= 1
-            length += 1
-        emit_literal(target[literal_start:position])
-        out.append(_OP_HEADER.pack(_OP_COPY, offset, length))
-        position += length
-        literal_start = position
-    emit_literal(target[literal_start:])
-    return b"".join(out)
-
-
-def bpatch(base: bytes, patch: bytes) -> bytes:
-    """Apply a :func:`bdiff` patch to ``base``; exact reconstruction."""
-    base = bytes(base)
-    view = memoryview(patch)
-    if len(view) < _OP_HEADER.size:
-        raise SnapshotError("truncated delta patch: missing header")
-    op, version, expected_length = _OP_HEADER.unpack_from(view, 0)
-    if op != 0 or version != DELTA_FORMAT_VERSION:
-        raise SnapshotError(
-            f"delta patch format {version} != {DELTA_FORMAT_VERSION}"
-        )
-    cursor = _OP_HEADER.size
-    pieces: list[bytes] = []
-    total = 0
-    while cursor < len(view):
-        if cursor + _OP_HEADER.size > len(view):
-            raise SnapshotError("truncated delta patch: partial op header")
-        op, arg1, arg2 = _OP_HEADER.unpack_from(view, cursor)
-        cursor += _OP_HEADER.size
-        if op == _OP_COPY:
-            if arg1 + arg2 > len(base):
-                raise SnapshotError("delta patch copies past the base")
-            pieces.append(base[arg1:arg1 + arg2])
-            total += arg2
-        elif op == _OP_LITERAL:
-            if cursor + arg1 > len(view):
-                raise SnapshotError("truncated delta patch: short literal")
-            pieces.append(bytes(view[cursor:cursor + arg1]))
-            cursor += arg1
-            total += arg1
-        else:
-            raise SnapshotError(f"unknown delta patch op {op:#x}")
-    if total != expected_length:
-        raise SnapshotError(
-            f"delta patch reconstructed {total} bytes, "
-            f"expected {expected_length}"
-        )
-    return b"".join(pieces)
-
-
-def payload_digest(payload: bytes) -> str:
-    """Content address of a snapshot payload (delta base check)."""
-    return hashlib.sha256(bytes(payload)).hexdigest()
-
-
-# ----------------------------------------------------------------------
 # the snapshot object
 # ----------------------------------------------------------------------
 class SystemSnapshot:
@@ -418,32 +291,6 @@ class SystemSnapshot:
             raise SnapshotError(f"cannot restore snapshot: {exc}") from exc
 
     # ------------------------------------------------------------------
-    def delta_from(self, template: "SystemSnapshot") -> "DeltaSnapshot":
-        """This snapshot as a delta against its cohort ``template``.
-
-        Valid only for a snapshot of a system that was forked from (or
-        shares the externalised inputs of) ``template``: the delta keeps
-        no externals of its own and recomposes against the template's.
-        The patch covers whatever actually diverged — for a device a few
-        operations past its fork point that is ~KB of counters and state
-        slots, not the ~MB full payload.
-        """
-        if len(self.externals) != len(template.externals) or any(
-            mine is not theirs
-            for mine, theirs in zip(self.externals, template.externals)
-        ):
-            raise SnapshotError(
-                "delta requires a snapshot forked from the given template "
-                "(shared externalised inputs)"
-            )
-        return DeltaSnapshot(
-            patch=bdiff(template.payload, self.payload),
-            base_digest=payload_digest(template.payload),
-            policy_name=self.policy_name,
-            now_ms=self.now_ms,
-        )
-
-    # ------------------------------------------------------------------
     # disk form (externals ride along by value)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -452,9 +299,7 @@ class SystemSnapshot:
             self.policy_name,
             self.now_ms,
             self.externals,
-            # Arena-backed snapshots hold a memoryview into shared
-            # memory; the disk form always owns its bytes.
-            bytes(self.payload),
+            self.payload,
         )
         return dumps(record)
 
@@ -479,96 +324,4 @@ class SystemSnapshot:
         return (
             f"SystemSnapshot({self.policy_name or 'unknown'} @ "
             f"{self.now_ms:.1f} ms, {self.size_bytes} bytes)"
-        )
-
-
-# ----------------------------------------------------------------------
-# delta snapshots
-# ----------------------------------------------------------------------
-class DeltaSnapshot:
-    """A device checkpoint stored as its divergence from a template.
-
-    Composing ``template + delta`` is byte-exact: :meth:`apply` returns
-    precisely the payload the full :class:`SystemSnapshot` would hold,
-    so a delta-restored system is indistinguishable from a
-    full-snapshot restore (the fleet's ``--verify-deltas`` spot-checks
-    this equality end to end).  The delta refuses to compose against
-    anything but its own template — the base payload's content digest
-    travels with the patch.
-    """
-
-    __slots__ = ("patch", "base_digest", "policy_name", "now_ms")
-
-    def __init__(
-        self,
-        patch: bytes,
-        base_digest: str,
-        policy_name: str = "",
-        now_ms: float = 0.0,
-    ):
-        self.patch = patch
-        self.base_digest = base_digest
-        self.policy_name = policy_name
-        self.now_ms = now_ms
-
-    # ------------------------------------------------------------------
-    def apply(self, template: SystemSnapshot) -> bytes:
-        """The full snapshot payload this delta encodes."""
-        if payload_digest(template.payload) != self.base_digest:
-            raise SnapshotError(
-                "delta does not belong to this template "
-                "(base payload digest mismatch)"
-            )
-        return bpatch(template.payload, self.patch)
-
-    def to_snapshot(self, template: SystemSnapshot) -> SystemSnapshot:
-        """Recompose the full :class:`SystemSnapshot` (template + delta)."""
-        return SystemSnapshot(
-            self.apply(template),
-            template.externals,
-            policy_name=self.policy_name,
-            now_ms=self.now_ms,
-        )
-
-    def restore(self, template: SystemSnapshot) -> "AndroidSystem":
-        """Materialise the delta-checkpointed system from its template."""
-        return self.to_snapshot(template).restore()
-
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        record = (
-            SNAPSHOT_FORMAT_VERSION,
-            DELTA_FORMAT_VERSION,
-            self.policy_name,
-            self.now_ms,
-            self.base_digest,
-            self.patch,
-        )
-        return dumps(record)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DeltaSnapshot":
-        try:
-            record = loads(data)
-            (version, delta_version, policy_name, now_ms,
-             base_digest, patch) = record
-        except Exception as exc:
-            raise SnapshotError(f"unreadable delta bytes: {exc}") from exc
-        if (version, delta_version) != (SNAPSHOT_FORMAT_VERSION,
-                                        DELTA_FORMAT_VERSION):
-            raise SnapshotError(
-                f"delta format {(version, delta_version)} != "
-                f"{(SNAPSHOT_FORMAT_VERSION, DELTA_FORMAT_VERSION)}"
-            )
-        return cls(patch, base_digest, policy_name=policy_name,
-                   now_ms=now_ms)
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.patch)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"DeltaSnapshot({self.policy_name or 'unknown'} @ "
-            f"{self.now_ms:.1f} ms, {self.size_bytes}-byte patch)"
         )

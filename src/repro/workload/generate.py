@@ -8,7 +8,8 @@ given ``(population, seed, member)`` the draw order is *frozen* —
 weighted kind, an optional ``choice`` for locales, and one ``uniform``
 for the think-time gap.  Changing it silently re-seeds every committed
 fleet baseline, so the stationary path here must stay byte-identical
-to the pre-IR ``device_script``.
+to the pre-IR tuple generator (pinned by a digest in
+``tests/workload/test_generate.py``).
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def device_workload(
 ) -> Workload:
     """The session of fleet member ``member`` as an IR program.
 
-    Byte-compatible with the pre-IR ``device_script``:
+    Byte-compatible with the pre-IR tuple generator:
     ``device_workload(...).to_tuples()`` reproduces its exact output.
     """
     rng = DeterministicRng(seed).fork(f"fleet-device-{member}")

@@ -105,6 +105,17 @@ class TestTop100:
         assert not by_name["Instagram"].has_issue
         assert by_name["Orbot"].problem == "State loss (selection list)"
 
+    def test_built_once_per_seed_as_fresh_lists(self):
+        first = build_top100(0x5EED)
+        second = build_top100(0x5EED)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()  # one caller's list is not another's
+        assert len(build_top100(0x5EED)) == 100
+        other = build_top100(0x5EED + 1)
+        assert [a.label for a in other] == [a.label for a in second]
+        assert [a.app_loc for a in other] != [a.app_loc for a in second]
+
     def test_top100_apps_are_bigger_than_tp37(self):
         from statistics import mean
 

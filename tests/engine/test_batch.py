@@ -186,3 +186,19 @@ class TestExecuteRequest:
         request = RunRequest.handling("android10", build_appset27()[0])
         result = execute_request(request)
         assert result.policy == "android10"
+
+
+class TestFingerprintMemo:
+    def test_rebuilt_fig14_requests_do_not_grow_the_memo(self):
+        from repro.engine import batch
+        from repro.engine.bench import _REQUEST_BUILDERS
+
+        def keys():
+            return [request.cache_key()
+                    for request in _REQUEST_BUILDERS["fig14"](0x5EED)]
+
+        expected = keys()
+        entries = len(batch._FP_MEMO)
+        for _ in range(50):
+            assert keys() == expected
+        assert len(batch._FP_MEMO) == entries

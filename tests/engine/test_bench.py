@@ -164,7 +164,7 @@ def _phases_section(*, identical=True, stock_asym=7.5, fixed_asym=8.4,
 
 
 def _fleet_report(*, identical=True, spawn_cold=0.4, spawn_forked=0.1,
-                  delta_bytes=900, rss_small=25.0, rss_large=27.0,
+                  rss_small=25.0, rss_large=27.0,
                   resume_identical=True, phases=None):
     return {
         "bench": "repro.fleet",
@@ -179,18 +179,9 @@ def _fleet_report(*, identical=True, spawn_cold=0.4, spawn_forked=0.1,
                 "forked_s": spawn_forked,
                 "speedup": round(spawn_cold / spawn_forked, 2),
             },
-            "delta": {
-                "template_bytes": 9000,
-                "full_bytes": 9100,
-                "delta_bytes": delta_bytes,
-                "ratio": round(delta_bytes / 9100, 4),
-                "round_trip_identical": identical,
-            },
-            "seconds": {"serial": 1.0, "sharded": 0.5,
-                        "sharded_noarena": 0.6, "cold_setup": 1.2},
+            "seconds": {"serial": 1.0, "sharded": 0.5, "cold_setup": 1.2},
             "speedup_vs_serial": {"sharded": 2.0},
             "identical_to_serial": {"sharded": identical,
-                                    "sharded_noarena": identical,
                                     "cold_setup": identical},
         },
         "scaling": [
@@ -217,10 +208,6 @@ class TestCheckFleetReport:
         failures = bench.check_fleet_report(
             _fleet_report(spawn_cold=0.1, spawn_forked=0.4))
         assert any("not faster than" in failure for failure in failures)
-
-    def test_fat_delta_residue_fails(self):
-        failures = bench.check_fleet_report(_fleet_report(delta_bytes=9100))
-        assert any("delta residue" in failure for failure in failures)
 
     def test_missing_scaling_curve_fails(self):
         report = _fleet_report()
@@ -280,7 +267,6 @@ class TestCheckFleetReport:
         text = bench.format_fleet_report(_fleet_report())
         assert "spawn" in text
         assert "byte-identical to serial: yes" in text
-        assert "delta residue" in text
         assert "scaling" in text
         assert "phases" in text
         assert "asymmetry" in text

@@ -340,9 +340,9 @@ class TestFleetOracle:
 
 class TestSerialBypass:
     """A resolved jobs of 1 must skip the process pool entirely (PR 9):
-    no pool spawn, no arena publish, no per-task pickling — and with a
-    snapshot_root the bypass still keeps the template store warm for
-    long-lived callers like the serve daemon."""
+    no pool spawn, no per-task pickling — and with a snapshot_root the
+    bypass still keeps the template store warm for long-lived callers
+    like the serve daemon."""
 
     def test_jobs_1_never_reaches_the_pool(self, monkeypatch):
         import repro.fleet.run as fleet_run

@@ -4,36 +4,41 @@ from repro.fleet.population import (
     DEFAULT_POPULATION,
     LOCALES,
     PopulationSpec,
-    device_script,
+    device_workload,
     fleet_corpus,
     is_config_change,
     template_value,
 )
 
 
+def session_tuples(population, seed, member):
+    """Member ``member``'s session in the tuple wire form."""
+    return device_workload(population, seed, member).to_tuples()
+
+
 class TestDeviceScript:
     def test_same_seed_same_member_is_identical(self):
-        first = device_script(DEFAULT_POPULATION, 0x5EED, 7)
-        second = device_script(DEFAULT_POPULATION, 0x5EED, 7)
+        first = session_tuples(DEFAULT_POPULATION, 0x5EED, 7)
+        second = session_tuples(DEFAULT_POPULATION, 0x5EED, 7)
         assert first == second
 
     def test_members_differ(self):
-        scripts = {device_script(DEFAULT_POPULATION, 0x5EED, member)
+        scripts = {session_tuples(DEFAULT_POPULATION, 0x5EED, member)
                    for member in range(20)}
         assert len(scripts) > 1
 
     def test_seeds_differ(self):
-        assert (device_script(DEFAULT_POPULATION, 1, 0)
-                != device_script(DEFAULT_POPULATION, 2, 0))
+        assert (session_tuples(DEFAULT_POPULATION, 1, 0)
+                != session_tuples(DEFAULT_POPULATION, 2, 0))
 
     def test_every_script_has_a_config_change(self):
         for member in range(100):
-            script = device_script(DEFAULT_POPULATION, 0x5EED, member)
+            script = session_tuples(DEFAULT_POPULATION, 0x5EED, member)
             assert any(is_config_change(op) for op in script)
 
     def test_every_op_is_followed_by_a_wait(self):
         for member in range(20):
-            script = device_script(DEFAULT_POPULATION, 0x5EED, member)
+            script = session_tuples(DEFAULT_POPULATION, 0x5EED, member)
             for index, op in enumerate(script):
                 if op[0] != "wait":
                     assert script[index + 1][0] == "wait"
@@ -41,7 +46,7 @@ class TestDeviceScript:
     def test_op_count_respects_population_bounds(self):
         population = PopulationSpec(min_ops=3, max_ops=5)
         for member in range(50):
-            script = device_script(population, 0x5EED, member)
+            script = session_tuples(population, 0x5EED, member)
             real_ops = [op for op in script if op[0] != "wait"]
             # +1: a rotate is appended when no config change was drawn.
             assert 3 <= len(real_ops) <= 6
@@ -50,14 +55,14 @@ class TestDeviceScript:
         kinds = {
             op[0]
             for member in range(200)
-            for op in device_script(DEFAULT_POPULATION, 0x5EED, member)
+            for op in session_tuples(DEFAULT_POPULATION, 0x5EED, member)
         }
         assert {"rotate", "resize", "locale", "night",
                 "write", "async", "kill", "wait"} <= kinds
 
     def test_locale_ops_draw_from_the_locale_set(self):
         for member in range(100):
-            for op in device_script(DEFAULT_POPULATION, 0x5EED, member):
+            for op in session_tuples(DEFAULT_POPULATION, 0x5EED, member):
                 if op[0] == "locale":
                     assert op[1] in LOCALES
 

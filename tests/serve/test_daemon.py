@@ -11,6 +11,7 @@ checkpoint files, and the next request unaffected.
 
 from __future__ import annotations
 
+import asyncio
 import glob
 import json
 import os
@@ -20,18 +21,14 @@ import time
 
 import pytest
 
-from repro.fleet.arena import arena_available
 from repro.fleet.run import run_fleet
 from repro.serve.client import DaemonClient, daemon_available
 from repro.serve.protocol import fleet_spec_from_params
+from repro.serve.server import Daemon
 
 DEVICES = 6
 SEED = 0x5EED
 PARAMS = {"devices": DEVICES, "seed": SEED}
-
-pytestmark = pytest.mark.skipif(
-    not arena_available(), reason="no shared memory on this host"
-)
 
 
 def _env() -> dict:
@@ -100,7 +97,7 @@ class TestDeterminism:
         assert first["report_json"] == reference_report
         assert warm["report_json"] == reference_report
 
-    def test_warm_request_hits_the_resident_arena(self, daemon):
+    def test_warm_request_reuses_the_stored_templates(self, daemon):
         client = DaemonClient(daemon, client="tests")
         before = client.status()["resident"]["template_warm_hits"]
         client.run("fleet", PARAMS)
@@ -174,6 +171,63 @@ class TestStreaming:
         live = list(client.events(job_id))
         replay = list(client.events(job_id))  # job finished: history only
         assert replay == live
+
+
+def _run_in_process(daemon, params) -> dict:
+    """Submit a fleet job to an in-process daemon and wait it out."""
+
+    async def run():
+        job = daemon.submit("fleet", params, "tests")
+        while not job.terminal:
+            await asyncio.sleep(0.01)
+        return job
+
+    job = asyncio.run(run())
+    started = next(e for e in job.events if e["event"] == "started")
+    return {"cold_templates": started["cold_templates"],
+            "report_json": job.events[-1].get("report_json")}
+
+
+class TestTemplateStore:
+    """The daemon's one template tier: its store, memory then disk."""
+
+    def test_second_job_finds_every_template_in_memory(
+            self, tmp_path, reference_report):
+        shm_before = _shm_entries()
+        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+        try:
+            first = _run_in_process(daemon, PARAMS)
+            cells = first["cold_templates"]
+            assert cells > 0
+            resident = daemon.status()["resident"]
+            assert resident == {"templates": cells,
+                                "template_warm_hits": 0}
+            warm = _run_in_process(daemon, PARAMS)
+            assert warm["cold_templates"] == 0
+            assert daemon.status()["resident"]["template_warm_hits"] \
+                == cells
+            assert first["report_json"] == reference_report
+            assert warm["report_json"] == reference_report
+        finally:
+            daemon.shutdown()
+        assert _shm_entries() == shm_before
+
+    def test_restarted_daemon_reads_templates_from_disk(
+            self, tmp_path, reference_report):
+        root = str(tmp_path / "root")
+        daemon = Daemon(jobs=1, root=root)
+        try:
+            _run_in_process(daemon, PARAMS)
+        finally:
+            daemon.shutdown()
+        restarted = Daemon(jobs=1, root=root)
+        try:
+            again = _run_in_process(restarted, PARAMS)
+            assert again["cold_templates"] == 0
+            assert restarted.store.stats.disk_hits > 0
+            assert again["report_json"] == reference_report
+        finally:
+            restarted.shutdown()
 
 
 class TestOracle:

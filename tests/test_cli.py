@@ -175,8 +175,8 @@ class TestFleetCli:
 
 
 class TestFleetCliZeroCopyTier:
-    """PR 7 surface: --jobs auto, --stats, --checkpoint, --verify-deltas,
-    --no-arena — plus the did-you-mean hint on malformed --jobs."""
+    """--jobs auto, --stats, --checkpoint — plus the did-you-mean hint
+    on malformed --jobs."""
 
     def _report_json(self, capsys, tmp_path, extra, name="fleet.json"):
         import json
@@ -213,19 +213,8 @@ class TestFleetCliZeroCopyTier:
             capsys, tmp_path, ["--jobs", "1", "--stats"])
         assert "Template provisioning" in printed
         assert report["cache"]["captures"] > 0
-        for counter in ("disk_reads", "rebuilds", "arena_hits",
-                        "arena_misses", "arena_fallbacks"):
+        for counter in ("disk_reads", "rebuilds", "templates_cached"):
             assert counter in report["cache"]
-
-    def test_verify_deltas_and_no_arena_keep_bytes_identical(
-            self, capsys, tmp_path):
-        base, _, base_path = self._report_json(
-            capsys, tmp_path, ["--jobs", "1"], name="base.json")
-        for extra, name in ([["--verify-deltas"], "verified.json"],
-                            [["--no-arena"], "noarena.json"]):
-            report, _, path = self._report_json(
-                capsys, tmp_path, ["--jobs", "1", *extra], name=name)
-            assert path.read_bytes() == base_path.read_bytes()
 
     def test_checkpointed_run_resumes_identically(self, capsys, tmp_path):
         base, _, base_path = self._report_json(
