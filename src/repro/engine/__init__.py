@@ -31,7 +31,12 @@ from repro.engine.batch import (
     run_policy_matrix,
 )
 from repro.engine.cache import DEFAULT_CACHE_ROOT, CacheStats, ResultCache
-from repro.engine.codec import decode_result, encode_result
+from repro.engine.codec import (
+    canonical_result,
+    decode_result,
+    encode_result,
+    experiment_digest,
+)
 from repro.engine.fingerprint import (
     CACHE_SCHEMA_VERSION,
     canonicalize,
@@ -57,12 +62,14 @@ __all__ = [
     "ScenarioSpec",
     "SnapshotStats",
     "SnapshotStore",
+    "canonical_result",
     "canonicalize",
     "configure",
     "decode_result",
     "default_cache",
     "encode_result",
     "execute_request",
+    "experiment_digest",
     "fingerprint",
     "restore",
     "run_batch",

@@ -33,7 +33,6 @@ previously each hand-rolled.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -42,6 +41,7 @@ from repro.baselines.android10 import Android10Policy
 from repro.baselines.runtimedroid import RuntimeDroidPolicy
 from repro.core.policy import RCHDroidPolicy
 from repro.engine.cache import DEFAULT_CACHE_ROOT, ResultCache
+from repro.engine.codec import canonical_result
 from repro.engine.fingerprint import CACHE_SCHEMA_VERSION, fingerprint
 from repro.engine.scenarios import (
     KIND_GC,
@@ -475,7 +475,7 @@ def _execute_unit(
                   if not (live is not None and i == 0)]
         for index in _verify_sample(forked):
             fresh = execute_request(unit_requests[index])
-            if _canonical(fresh) != _canonical(results[index]):
+            if canonical_result(fresh) != canonical_result(results[index]):
                 raise SnapshotError(
                     "forked result diverged from fresh run for "
                     f"{unit_requests[index].kind} cell "
@@ -492,13 +492,6 @@ def _verify_sample(forked: list[int]) -> list[int]:
         return []
     picks = {forked[0], forked[len(forked) // 2], forked[-1]}
     return sorted(picks)
-
-
-def _canonical(result: Any) -> str:
-    from repro.engine.codec import encode_result
-
-    return json.dumps(encode_result(result), sort_keys=True,
-                      separators=(",", ":"))
 
 
 def _execute_many(requests: Sequence[RunRequest], jobs: int) -> list:

@@ -65,7 +65,7 @@ from repro.apps.dsl import IssueKind
 from repro.apps.top100 import build_top100
 from repro.engine.batch import KIND_HANDLING, KIND_ISSUE, RunRequest, run_batch
 from repro.engine.cache import ResultCache
-from repro.engine.codec import encode_result
+from repro.engine.codec import canonical_result
 
 DEFAULT_OUTPUT = "BENCH_engine.json"
 DEFAULT_FLEET_OUTPUT = "BENCH_fleet.json"
@@ -136,11 +136,7 @@ def _probe_requests(seed: int = 0x5EED) -> list[RunRequest]:
 
 
 def _canonical(results: Sequence[Any]) -> list[str]:
-    return [
-        json.dumps(encode_result(result), sort_keys=True,
-                   separators=(",", ":"))
-        for result in results
-    ]
+    return [canonical_result(result) for result in results]
 
 
 def _timed(fn: Callable[[], list]) -> tuple[float, list]:

@@ -9,9 +9,11 @@ tuples, enums by value, and floats rely on JSON's exact repr round-trip.
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import Any, Iterable
 
 from repro.apps.dsl import IssueKind
+from repro.engine.fingerprint import fingerprint
 from repro.errors import EngineError
 from repro.harness.runner import HandlingMeasurement, IssueVerdict, ProbeVerdict
 from repro.harness.scenarios import GcTradeoffPoint, ScalabilityMeasurement
@@ -104,6 +106,19 @@ def encode_result(result: Any) -> dict[str, Any]:
             "digest_json": result.digest_json,
         }
     raise EngineError(f"cannot encode result of type {type(result).__name__}")
+
+
+def canonical_result(result: Any) -> str:
+    """The one canonical text of a result: its payload as sorted,
+    compact JSON.  Fork-equals-fresh checks compare these strings."""
+    return json.dumps(encode_result(result), sort_keys=True,
+                      separators=(",", ":"))
+
+
+def experiment_digest(results: Iterable[Any]) -> str:
+    """Digest of an experiment's ordered results — what a daemon
+    ``experiment`` job reports and the in-process batch must match."""
+    return fingerprint([canonical_result(result) for result in results])
 
 
 def decode_result(payload: dict[str, Any]) -> Any:

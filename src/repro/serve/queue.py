@@ -52,6 +52,9 @@ class Job:
         self.state = "queued"
         self.units: deque = deque()
         self.in_flight = 0
+        self.futures: set = set()
+        """The pool futures of this job's in-flight units, so a cancel
+        can recall the calls no worker has taken yet."""
         self.no_more_units = False
         """Set by the driver once every unit of the job has been
         queued; with an empty queue and nothing in flight this is what
@@ -119,10 +122,10 @@ class Job:
     def cancel(self) -> bool:
         """Drop all pending units and mark cancelled.
 
-        In-flight units keep running (a process-pool task cannot be
-        recalled) but their results are discarded by the server; the
-        job's accumulators never see them.  Returns ``False`` when the
-        job already reached a terminal state.
+        In-flight units are the server's: it recalls the queued ones
+        from the pool and discards the results of those already
+        running, so the job's accumulators never see them.  Returns
+        ``False`` when the job already reached a terminal state.
         """
         if self.terminal:
             return False

@@ -15,7 +15,7 @@ minimal HTTP/1.1 + JSON-lines protocol:
   ``cancelled`` / ``error``), then EOF.
 * ``GET /jobs/<id>``            — one-shot job snapshot.
 * ``DELETE /jobs/<id>``         — cancel: pending units are dropped,
-  in-flight results discarded.
+  queued pool calls recalled, running units' results discarded.
 * ``GET /status``               — daemon counters (resident templates,
   cache sizes, pool shape) for monitoring and the bench's warm gates.
 * ``POST /shutdown``            — graceful stop: acknowledge, then
@@ -39,10 +39,13 @@ import json
 import os
 import shutil
 import tempfile
+from collections import deque
+from concurrent.futures import Future
 from typing import Any
 
 from repro.engine.batch import _resolve_jobs
 from repro.engine.cache import ResultCache
+from repro.engine.codec import experiment_digest
 from repro.engine.pool import PersistentPool
 from repro.engine.snapshots import SnapshotStore
 from repro.errors import (
@@ -68,6 +71,19 @@ from repro.serve.queue import FairScheduler, Job
 #: the last one).  Streams stay light for huge fleets without going
 #: silent on small ones.
 DEFAULT_STREAM_EVERY = 4
+
+#: Units kept in the pool per worker: one running, one queued behind
+#: it, so a worker starts its next unit while the event loop is still
+#: folding the last result and submitting.  Against one per worker,
+#: two cut the cold ``fig14`` job in perfbench's serve set-up from
+#: ~0.87 s to ~0.57 s on a 2-vCPU host; four was no clear win over two
+#: (docs/PERFORMANCE.md, "Daemon dispatch").  It also bounds how long a
+#: new job waits behind other clients' work: one queued unit per worker.
+UNITS_PER_WORKER = 2
+
+#: Terminal jobs remembered for ``GET /jobs/<id>`` and ``/status``;
+#: older ones are forgotten, oldest first, and answer like unknown ids.
+MAX_FINISHED_JOBS = 256
 
 _BAD_REQUEST = (ServeError, FleetError, HuntError, OracleError,
                 WorkloadError)
@@ -126,6 +142,7 @@ class Daemon:
         self.pool = PersistentPool(self.workers)
         self.scheduler = FairScheduler()
         self.jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
         self.stream_every = max(1, stream_every)
         self.counters = {
             "jobs_submitted": 0,
@@ -347,14 +364,7 @@ class Daemon:
         self.cache.put(job.exp_keys[position], result)
 
     def _finalize_experiment(self, job: Job) -> None:
-        from repro.engine.codec import encode_result
-        from repro.engine.fingerprint import fingerprint
-
-        digest = fingerprint([
-            json.dumps(encode_result(result), sort_keys=True,
-                       separators=(",", ":"))
-            for result in job.exp_results
-        ])
+        digest = experiment_digest(job.exp_results)
         job.result = digest
         job.emit("done", experiment=job.params["experiment"],
                  runs=len(job.exp_results), cache_hits=job.exp_hits,
@@ -364,36 +374,47 @@ class Daemon:
     # the unit pump
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Fill free pool slots from the fair scheduler."""
-        while (self._inflight < self.workers
+        """Keep ``UNITS_PER_WORKER`` units per worker in the pool."""
+        while (self._inflight < self.workers * UNITS_PER_WORKER
                and not self._stopping.is_set()):
             picked = self.scheduler.next_unit()
             if picked is None:
                 return
-            job, unit = picked
+            job, (fn, payload, tag) = picked
+            try:
+                future = self.pool.submit(fn, payload)
+            except Exception as exc:  # the respawned pool failed too
+                future = Future()
+                future.set_exception(exc)
+            job.futures.add(future)
             self._inflight += 1
-            asyncio.ensure_future(self._run_unit(job, unit))
+            asyncio.ensure_future(self._run_unit(job, tag, future))
 
-    async def _run_unit(self, job: Job, unit) -> None:
-        fn, payload, tag = unit
+    async def _run_unit(self, job: Job, tag: str, future: Future) -> None:
         error: str | None = None
         result = None
         try:
-            result = await asyncio.wrap_future(
-                self.pool.submit(fn, payload)
-            )
+            result = await asyncio.wrap_future(future)
+        except asyncio.CancelledError:
+            # The pool call was cancelled before a worker took it:
+            # recalled by ``cancel()`` or dropped by a pool shutdown.
+            # Otherwise this task itself was cancelled; that propagates.
+            if not future.cancelled():
+                raise
+            error = "cancelled in the pool"
         except SimulationError as exc:
             error = str(exc)
         except Exception as exc:  # worker died, pickling, ...
             error = f"{type(exc).__name__}: {exc}"
         finally:
+            job.futures.discard(future)
             self._inflight -= 1
             self.counters["units_run"] += 1
             job.unit_done()
         if job.terminal:
-            # Cancelled while this unit ran: discard the result; the
-            # job's accumulators stay exactly as the cancel event left
-            # them.
+            # Cancelled while this unit was queued or running: discard
+            # the result; the job's accumulators stay exactly as the
+            # cancel event left them.
             self._maybe_retire(job)
         elif error is not None:
             self._fail(job, f"unit {tag}: {error}")
@@ -425,6 +446,7 @@ class Daemon:
         job.finish("done")
         self.counters["jobs_done"] += 1
         self.scheduler.discard(job)
+        self._forget_old_jobs(job)
 
     def _fail(self, job: Job, message: str) -> None:
         job.units.clear()
@@ -433,17 +455,31 @@ class Daemon:
         job.finish("error")
         self.counters["jobs_failed"] += 1
         self.scheduler.discard(job)
+        self._forget_old_jobs(job)
 
     def cancel(self, job: Job) -> bool:
-        """Drop the job's pending work."""
+        """Drop the job's pending work and recall its queued pool calls.
+
+        A call a worker has already taken cannot be recalled; its
+        result is discarded when it returns.
+        """
         if not job.cancel():
             return False
+        for future in list(job.futures):
+            future.cancel()
         job.emit("cancelled", exit=3)
         job.finish("cancelled")
         self.counters["jobs_cancelled"] += 1
         self._maybe_retire(job)
+        self._forget_old_jobs(job)
         self._pump()
         return True
+
+    def _forget_old_jobs(self, finished: Job) -> None:
+        """Remember ``finished``; drop the oldest beyond the bound."""
+        self._finished.append(finished.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            self.jobs.pop(self._finished.popleft(), None)
 
     def _maybe_retire(self, job: Job) -> None:
         if job.terminal and job.in_flight == 0:
