@@ -21,10 +21,12 @@ executable in any process.
   — correct because forks are byte-identical to fresh runs, and
   checkable with ``verify_forks`` (re-run a sample from scratch and
   compare canonical encodings);
-* ``jobs`` fans groups across a ``ProcessPoolExecutor``; ``"auto"``
-  (the default) resolves to ``min(cpu_count, work units)`` and bypasses
-  the pool entirely when that is 1, so single-core hosts never pay the
-  pool's serialisation overhead.
+* :func:`plan_calls` packs whole groups into pool calls, which ``jobs``
+  fans across a :class:`~repro.engine.pool.PersistentPool` owned by the
+  call (the daemon submits the same calls to its own pool); ``"auto"``
+  resolves to ``min(cpu_count, cache misses)``, and one worker or one
+  call runs in-process, so single-core hosts never pay the pool's
+  serialisation overhead.
 
 :func:`run_policy_matrix` is the shared per-experiment loop ("for every
 app, measure every policy") that fig7/fig8/fig12/fig14/table3/table5
@@ -34,6 +36,8 @@ previously each hand-rolled.
 from __future__ import annotations
 
 import os
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -43,6 +47,7 @@ from repro.core.policy import RCHDroidPolicy
 from repro.engine.cache import DEFAULT_CACHE_ROOT, ResultCache
 from repro.engine.codec import canonical_result
 from repro.engine.fingerprint import CACHE_SCHEMA_VERSION, fingerprint
+from repro.engine.pool import PersistentPool
 from repro.engine.scenarios import (
     KIND_GC,
     KIND_HANDLING,
@@ -194,21 +199,27 @@ class RunRequest:
         return key
 
 
-#: id -> (strong ref, fingerprint).  The strong ref pins the object so
-#: its id cannot be recycled while the entry lives; the cap bounds memory
-#: when corpora are rebuilt over and over in one process.
-_FP_MEMO: dict[int, tuple[Any, str]] = {}
+#: id -> (weak ref, fingerprint), least recently used first.  The weak
+#: ref checks identity without keeping the object alive, so rebuilt
+#: corpora are freed; past the cap the oldest entry goes, one at a time.
+_FP_MEMO: "OrderedDict[int, tuple[weakref.ref, str]]" = OrderedDict()
 _FP_MEMO_CAP = 8192
 
 
 def _memo_fingerprint(obj: Any) -> str:
     entry = _FP_MEMO.get(id(obj))
-    if entry is not None and entry[0] is obj:
+    if entry is not None and entry[0]() is obj:
+        _FP_MEMO.move_to_end(id(obj))
         return entry[1]
     digest = fingerprint(obj)
-    if len(_FP_MEMO) >= _FP_MEMO_CAP:
-        _FP_MEMO.clear()
-    _FP_MEMO[id(obj)] = (obj, digest)
+    try:
+        ref = weakref.ref(obj)
+    except TypeError:  # not weakly referenceable: fingerprint each time
+        return digest
+    _FP_MEMO[id(obj)] = (ref, digest)
+    _FP_MEMO.move_to_end(id(obj))
+    if len(_FP_MEMO) > _FP_MEMO_CAP:
+        _FP_MEMO.popitem(last=False)
     return digest
 
 
@@ -330,28 +341,46 @@ def run_batch(
         share = False
 
     results: list = [None] * len(requests)
-    pending: list[tuple[int, RunRequest, str | None]] = []
-    if store is not None:
+    keys: dict[int, str] = {}
+    if store is None:
+        pending = list(range(len(requests)))
+    else:
+        pending = []
         for index, request in enumerate(requests):
             key = request.cache_key(store.schema_version)
             hit, value = store.get(key)
             if hit:
                 results[index] = value
             else:
-                pending.append((index, request, key))
-    else:
-        pending = [(index, request, None)
-                   for index, request in enumerate(requests)]
+                pending.append(index)
+                keys[index] = key
 
     if pending:
-        fresh = _execute_pending(
-            [request for _, request, _ in pending],
-            jobs, share, store, verify,
-        )
-        for (index, request, key), result in zip(pending, fresh):
-            results[index] = result
-            if store is not None and key is not None:
-                store.put(key, result)
+        snap_root = None
+        if store is not None and store.root is not None:
+            snap_root = str(store.root / "snapshots")
+        workers = _resolve_jobs(jobs, len(pending))
+        calls = plan_calls(requests, pending, workers, share)
+        payloads = [(call_requests(requests, call), snap_root, verify)
+                    for call in calls]
+        workers = min(workers, len(calls))
+        if workers <= 1:
+            outputs = [execute_call(payload) for payload in payloads]
+        else:
+            pool = PersistentPool(workers)
+            try:
+                futures = [pool.submit(execute_call, payload)
+                           for payload in payloads]
+                outputs = [future.result() for future in futures]
+            finally:
+                pool.shutdown()
+        for call, output in zip(calls, outputs):
+            for group, group_results in zip(call, output):
+                for index, result in zip(group, group_results):
+                    results[index] = result
+        if store is not None:
+            for index in pending:
+                store.put(keys[index], results[index])
     return results
 
 
@@ -362,72 +391,65 @@ def _resolve_jobs(jobs: "int | str", unit_count: int) -> int:
     return max(1, int(jobs))
 
 
-def _execute_pending(
+#: Most requests in one pool call, unless one prefix group is larger.
+#: Calls amortise the pool round trip (~1.8 ms on a 2-vCPU host); the
+#: cap keeps short the calls a new daemon job may wait behind
+#: (``UNITS_PER_WORKER`` per worker).  8, 16 and 32 tied on perfbench
+#: ``serve`` ``setup_s`` (A/B in docs/PERFORMANCE.md, "Daemon dispatch").
+MAX_CALL_REQUESTS = 16
+
+
+def plan_calls(
     requests: Sequence[RunRequest],
-    jobs: "int | str",
+    positions: Sequence[int],
+    workers: int,
     share: bool,
-    result_cache: "ResultCache | None",
-    verify: bool,
-) -> list:
-    """Execute cache misses, prefix-shared when enabled."""
-    if not share:
-        workers = _resolve_jobs(jobs, len(requests))
-        return _execute_many(requests, workers)
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Pack ``positions`` (indices into ``requests``) into pool calls.
 
-    # Group by prefix fingerprint, preserving submission order both
-    # across groups (first appearance) and within them.
-    groups: dict[str, list[int]] = {}
-    for position, request in enumerate(requests):
-        groups.setdefault(request.prefix_key(), []).append(position)
-    units = list(groups.values())
-
-    snap_root = None
-    if result_cache is not None and result_cache.root is not None:
-        snap_root = str(result_cache.root / "snapshots")
-
-    workers = _resolve_jobs(jobs, len(units))
-    results: list = [None] * len(requests)
-    if workers <= 1 or len(units) <= 1:
-        store = SnapshotStore(root=snap_root)
-        for positions in units:
-            unit_results = _execute_unit(
-                [requests[p] for p in positions], store, verify
-            )
-            for position, result in zip(positions, unit_results):
-                results[position] = result
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    payloads = [
-        (tuple(requests[p] for p in positions), snap_root, verify)
-        for positions in units
-    ]
-    chunksize = max(1, len(units) // (workers * 4))
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):  # no usable multiprocessing here
-        store = SnapshotStore(root=snap_root)
-        unit_lists = [
-            _execute_unit(list(reqs), store, verify)
-            for reqs, _, _ in payloads
-        ]
+    A call is a tuple of groups of positions: one group per
+    ``prefix_key()`` (first-appearance order, submission order within),
+    or per position with ``share=False``.  A call takes
+    ``max(1, groups // (workers * 4))`` whole groups — about four calls
+    per worker balance the tail — closing early rather than exceed
+    ``MAX_CALL_REQUESTS``.
+    """
+    if share:
+        by_prefix: dict[str, list[int]] = {}
+        for position in positions:
+            by_prefix.setdefault(requests[position].prefix_key(),
+                                 []).append(position)
+        groups = [tuple(group) for group in by_prefix.values()]
     else:
-        with pool:
-            unit_lists = list(
-                pool.map(_execute_unit_task, payloads, chunksize=chunksize)
-            )
-    for positions, unit_results in zip(units, unit_lists):
-        for position, result in zip(positions, unit_results):
-            results[position] = result
-    return results
+        groups = [(position,) for position in positions]
+    per_call = max(1, len(groups) // (workers * 4))
+    calls: list[list[tuple[int, ...]]] = []
+    for group in groups:
+        if not calls or len(calls[-1]) == per_call or \
+                sum(map(len, calls[-1])) + len(group) > MAX_CALL_REQUESTS:
+            calls.append([])
+        calls[-1].append(group)
+    return [tuple(call) for call in calls]
 
 
-def _execute_unit_task(payload) -> list:
-    """Worker body for one prefix group (pool processes start cold)."""
-    unit_requests, snap_root, verify = payload
-    return _execute_unit(list(unit_requests), SnapshotStore(root=snap_root),
-                         verify)
+def call_requests(
+    requests: Sequence[RunRequest], call: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[RunRequest, ...], ...]:
+    """The requests of one planned call, grouped as the call is."""
+    return tuple(tuple(requests[position] for position in group)
+                 for group in call)
+
+
+def execute_call(payload) -> list:
+    """Worker body for one planned call: ``payload`` is ``(groups,
+    snap_root, verify)`` with ``groups`` from :func:`call_requests`;
+    returns one result list per group.  The snapshot store lives for the
+    call, so a long-lived worker keeps none (groups of one batch never
+    share a prefix, so a longer-lived store would not hit in memory).
+    """
+    groups, snap_root, verify = payload
+    store = SnapshotStore(root=snap_root)
+    return [_execute_unit(list(group), store, verify) for group in groups]
 
 
 def _execute_unit(
@@ -492,23 +514,6 @@ def _verify_sample(forked: list[int]) -> list[int]:
         return []
     picks = {forked[0], forked[len(forked) // 2], forked[-1]}
     return sorted(picks)
-
-
-def _execute_many(requests: Sequence[RunRequest], jobs: int) -> list:
-    if jobs <= 1 or len(requests) <= 1:
-        return [execute_request(request) for request in requests]
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(jobs, len(requests))
-    # Chunking amortises pickling; ~4 chunks per worker keeps the tail
-    # balanced when run costs vary across apps.
-    chunksize = max(1, len(requests) // (workers * 4))
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):  # no usable multiprocessing here
-        return [execute_request(request) for request in requests]
-    with pool:
-        return list(pool.map(execute_request, requests, chunksize=chunksize))
 
 
 def run_policy_matrix(

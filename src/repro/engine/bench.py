@@ -60,12 +60,10 @@ import tempfile
 import time
 from typing import Any, Callable, Sequence
 
-from repro.apps.benchmark import make_benchmark_app
-from repro.apps.dsl import IssueKind
-from repro.apps.top100 import build_top100
-from repro.engine.batch import KIND_HANDLING, KIND_ISSUE, RunRequest, run_batch
+from repro.engine.batch import run_batch
 from repro.engine.cache import ResultCache
 from repro.engine.codec import canonical_result
+from repro.harness.requests import _REQUEST_BUILDERS
 
 DEFAULT_OUTPUT = "BENCH_engine.json"
 DEFAULT_FLEET_OUTPUT = "BENCH_fleet.json"
@@ -83,56 +81,6 @@ SCALING_DEVICES = (360, 1440, 5760)
 #: fleet executor that materialised devices or results would scale RSS
 #: linearly with the 16x device range and blow well past this.
 SCALING_RSS_BOUND = 3.0
-
-#: experiment id -> request-list builder (matching what the experiment
-#: module submits through run_policy_matrix, so the timings are real).
-_REQUEST_BUILDERS: dict[str, Callable[[int], list[RunRequest]]] = {}
-
-
-def _register(name: str):
-    def wrap(builder: Callable[[int], list[RunRequest]]):
-        _REQUEST_BUILDERS[name] = builder
-        return builder
-    return wrap
-
-
-@_register("fig14")
-def _fig14_requests(seed: int = 0x5EED) -> list[RunRequest]:
-    fixable = [
-        app for app in build_top100(seed)
-        if app.issue is IssueKind.VIEW_STATE_LOSS
-    ]
-    return [
-        RunRequest(KIND_HANDLING, policy, app, seed)
-        for app in fixable
-        for policy in ("android10", "rchdroid")
-    ]
-
-
-@_register("table5")
-def _table5_requests(seed: int = 0x5EED) -> list[RunRequest]:
-    return [
-        RunRequest(KIND_ISSUE, policy, app, seed)
-        for app in build_top100(seed)
-        for policy in ("android10", "rchdroid")
-    ]
-
-
-@_register("probes")
-def _probe_requests(seed: int = 0x5EED) -> list[RunRequest]:
-    # Prefix-heavy by design: per policy, two dozen audit delays share
-    # one long rotation storm over a large view tree, so the group is
-    # one prepare + twenty-three forks.  The delays stay below the
-    # benchmark app's 5 s async completion so the divergent suffixes are
-    # cheap observation windows, not a second workload.
-    app = make_benchmark_app(512)
-    delays = tuple(125.0 * step for step in range(1, 25))
-    return [
-        RunRequest.probe(policy, app, seed,
-                         storm_rotations=24, audit_delay_ms=delay)
-        for policy in ("runtimedroid", "rchdroid")
-        for delay in delays
-    ]
 
 
 def _canonical(results: Sequence[Any]) -> list[str]:

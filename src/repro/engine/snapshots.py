@@ -84,9 +84,6 @@ class SnapshotStore:
         except (OSError, SnapshotError):
             pass  # read-only disk / unsnapshotable degrade to memory-only
 
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
     def __len__(self) -> int:
         return len(self._memory)
 

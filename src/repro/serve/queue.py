@@ -1,10 +1,11 @@
 """Multi-tenant job queue: state machines and shard-granular fairness.
 
 The daemon schedules **units** (one fleet shard, one template capture,
-one oracle session, one experiment request), not whole jobs — that is
-what makes the queue fair at useful granularity: a 10-shard job
-submitted after a 1000-shard job starts doing work on the very next
-free worker instead of waiting out the big job.
+one oracle session, one hunt, one planned experiment call of whole
+prefix groups), not whole jobs — that is what makes the queue fair at
+useful granularity: a 10-shard job submitted after a 1000-shard job
+starts doing work on the very next free worker instead of waiting out
+the big job.
 
 :class:`FairScheduler` round-robins across *clients*: each turn of the
 ring yields one ready unit from the turn's client, taken from that

@@ -43,7 +43,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Any
 
-from repro.engine.batch import _resolve_jobs
+from repro.engine import batch
 from repro.engine.cache import ResultCache
 from repro.engine.codec import experiment_digest
 from repro.engine.pool import PersistentPool
@@ -56,6 +56,7 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
+from repro.harness.requests import _REQUEST_BUILDERS
 from repro.serve import tasks
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -132,11 +133,12 @@ class Daemon:
         root: str | None = None,
         stream_every: int = DEFAULT_STREAM_EVERY,
     ):
-        self.workers = _resolve_jobs(jobs, os.cpu_count() or 1)
+        self.workers = batch._resolve_jobs(jobs, os.cpu_count() or 1)
         self._owns_root = root is None
         self.root = root or tempfile.mkdtemp(prefix="repro-serve-")
         os.makedirs(self.root, exist_ok=True)
         self.template_root = os.path.join(self.root, "templates")
+        self.snapshot_root = os.path.join(self.root, "snapshots")
         self.store = SnapshotStore(root=self.template_root)
         self.cache = ResultCache(root=os.path.join(self.root, "results"))
         self.pool = PersistentPool(self.workers)
@@ -224,7 +226,7 @@ class Daemon:
 
     def _stage_fleet_shards(self, job: Job) -> None:
         """All templates stored: queue the shard units."""
-        from repro.fleet.run import steal_order
+        from repro.fleet.run import _run_shard_task, steal_order
 
         state = job.fleet
 
@@ -237,7 +239,7 @@ class Daemon:
 
         for shard in steal_order(state.shards):
             job.add_unit(
-                tasks.run_shard_unit,
+                _run_shard_task,
                 (state.spec, shard, self.template_root,
                  state.keys[shard.cell_index], oracle_keys(shard)),
                 tag=f"shard:{shard.shard_id}",
@@ -335,8 +337,6 @@ class Daemon:
 
     # --- experiment ----------------------------------------------------
     def _prepare_experiment(self, job: Job) -> None:
-        from repro.engine.bench import _REQUEST_BUILDERS
-
         name = job.params["experiment"]
         if name not in _REQUEST_BUILDERS:
             raise ServeError(
@@ -347,21 +347,29 @@ class Daemon:
         requests = _REQUEST_BUILDERS[name](seed)
         job.exp_results: list = [None] * len(requests)
         job.exp_keys = [request.cache_key() for request in requests]
-        job.exp_hits = 0
+        misses = []
         for position, request in enumerate(requests):
             hit, value = self.cache.get(job.exp_keys[position])
             if hit:
                 job.exp_results[position] = value
-                job.exp_hits += 1
             else:
-                job.add_unit(tasks.run_experiment_unit, request,
-                             tag=f"run:{position}")
+                misses.append(position)
+        job.exp_hits = len(requests) - len(misses)
+        job.exp_calls = batch.plan_calls(requests, misses, self.workers,
+                                         share=True)
+        for index, call in enumerate(job.exp_calls):
+            job.add_unit(batch.execute_call,
+                         (batch.call_requests(requests, call),
+                          self.snapshot_root, False),
+                         tag=f"call:{index}")
         job.no_more_units = True
 
     def _experiment_result(self, job: Job, tag: str, result: Any) -> None:
-        position = int(tag.split(":", 1)[1])
-        job.exp_results[position] = result
-        self.cache.put(job.exp_keys[position], result)
+        call = job.exp_calls[int(tag.split(":", 1)[1])]
+        for group, group_results in zip(call, result):
+            for position, value in zip(group, group_results):
+                job.exp_results[position] = value
+                self.cache.put(job.exp_keys[position], value)
 
     def _finalize_experiment(self, job: Job) -> None:
         digest = experiment_digest(job.exp_results)

@@ -1,32 +1,25 @@
 """Picklable pool task bodies for the daemon's persistent workers.
 
-Every unit the daemon schedules is one call to a module-level function
-here (the ``concurrent.futures`` pickling contract).  The bodies are
-thin: fleet shards go through the fleet executor's own spec-carrying
-entry point (:func:`repro.fleet.run._run_shard_task` — the same code a
-CLI run executes, so outcomes fold byte-identically), oracle sessions
-through ``repro.oracle``, and experiment units through the engine's
-``execute_request``.  Because the workers outlive any one job, the
-per-process template cache in ``fleet/run.py`` stays warm across
-requests — that cache's LRU cap exists for exactly this caller.
+Template captures, oracle sessions and hunts are each one call to a
+module-level function here (the ``concurrent.futures`` pickling
+contract).  The other units need no body of their own: a fleet shard
+is the fleet executor's own spec-carrying entry point
+(:func:`repro.fleet.run._run_shard_task` — the same code a CLI run
+executes, so outcomes fold byte-identically), and an experiment unit is
+one call planned by :func:`repro.engine.batch.plan_calls`, run by the
+batch engine's own pool-call body, :func:`repro.engine.batch.execute_call`.
+Because the workers outlive any one job, the per-process template
+cache in ``fleet/run.py`` stays warm across requests — that cache's
+LRU cap exists for exactly this caller.
 """
 
 from __future__ import annotations
 
-from repro.fleet.run import _run_shard_task
-
 __all__ = [
-    "run_shard_unit",
     "capture_template_unit",
     "run_oracle_unit",
-    "run_experiment_unit",
     "run_hunt_unit",
 ]
-
-#: Fleet shard unit: payload ``(spec, shard, root, key, oracle_keys)`` —
-#: the fleet executor's spec-carrying pool entry, re-exported under the
-#: daemon's name so journal/debug tooling shows where a unit came from.
-run_shard_unit = _run_shard_task
 
 
 def capture_template_unit(payload):
@@ -85,15 +78,3 @@ def run_hunt_unit(payload):
     report = run_hunt(settings)
     return report.to_json(), report.clean, format_hunt_report(report)
 
-
-def run_experiment_unit(payload):
-    """One engine run request, executed in this worker process.
-
-    ``payload`` is a single :class:`~repro.engine.batch.RunRequest`;
-    the daemon consults its process-wide result cache before submitting
-    and stores the result after, so repeated experiment jobs are served
-    from cache without touching the pool.
-    """
-    from repro.engine.batch import execute_request
-
-    return execute_request(payload)

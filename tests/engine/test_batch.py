@@ -1,6 +1,7 @@
 """run_batch / run_policy_matrix: ordering, parallelism, cache wiring."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,9 @@ from repro.engine import (
     run_batch,
     run_policy_matrix,
 )
+from repro.engine import batch as batch_module
+from repro.engine.batch import MAX_CALL_REQUESTS, plan_calls
+from repro.engine.codec import canonical_result
 from repro.errors import EngineError
 from repro.harness.runner import measure_handling, run_issue_scenario
 from repro.core.policy import RCHDroidPolicy
@@ -188,10 +192,112 @@ class TestExecuteRequest:
         assert result.policy == "android10"
 
 
+def _builders():
+    from repro.harness.requests import _REQUEST_BUILDERS
+
+    return _REQUEST_BUILDERS
+
+
+def _mixed_requests():
+    """Two prefix-heavy probe groups interleaved with lone fig14
+    requests, so groups are scattered across submission order."""
+    builders = _builders()
+    lone = builders["fig14"](0x5EED)[:40]
+    probes = builders["probes"](0x5EED)
+    mixed = []
+    for index, probe in enumerate(probes[::-1]):
+        mixed.append(probe)
+        if index < len(lone):
+            mixed.append(lone[index])
+    return mixed
+
+
+class TestPlanCalls:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_every_position_once_in_whole_ordered_groups(self, workers):
+        requests = _mixed_requests()
+        # Every third request was a cache hit: plan only the rest.
+        positions = [p for p in range(len(requests)) if p % 3 != 1]
+        calls = plan_calls(requests, positions, workers, share=True)
+        flat = [p for call in calls for group in call for p in group]
+        assert sorted(flat) == positions
+        assert len(flat) == len(set(flat))
+        groups = [group for call in calls for group in call]
+        # Positions keep submission order within a group, groups their
+        # order of first appearance.
+        assert all(list(group) == sorted(group) for group in groups)
+        assert [group[0] for group in groups] \
+            == sorted(group[0] for group in groups)
+        # A group is exactly one prefix, and no prefix is split.
+        prefixes = [{requests[p].prefix_key() for p in group}
+                    for group in groups]
+        assert all(len(prefix) == 1 for prefix in prefixes)
+        assert len({prefix.pop() for prefix in prefixes}) == len(groups)
+        per_call = max(1, len(groups) // (workers * 4))
+        for call in calls:
+            size = sum(len(group) for group in call)
+            assert len(call) <= per_call
+            assert size <= MAX_CALL_REQUESTS or len(call) == 1
+
+    def test_an_oversized_group_is_a_call_of_its_own(self):
+        requests = _builders()["probes"](0x5EED)
+        calls = plan_calls(requests, range(len(requests)), 1, share=True)
+        assert [[len(group) for group in call] for call in calls] \
+            == [[24], [24]]
+        assert 24 > MAX_CALL_REQUESTS
+
+    def test_lone_requests_fill_calls_up_to_the_cap(self):
+        requests = _builders()["fig14"](0x5EED)
+        calls = plan_calls(requests, range(len(requests)), 1, share=True)
+        assert [sum(map(len, call)) for call in calls] \
+            == [MAX_CALL_REQUESTS] * 7 + [118 - 7 * MAX_CALL_REQUESTS]
+
+    def test_no_sharing_gives_singleton_groups(self):
+        requests = _mixed_requests()
+        positions = list(range(len(requests)))
+        calls = plan_calls(requests, positions, 2, share=False)
+        groups = [group for call in calls for group in call]
+        assert groups == [(p,) for p in positions]
+
+    def test_plan_is_deterministic_across_runs_and_hash_seeds(self):
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.engine.batch import plan_calls\n"
+            "from repro.harness.requests import _REQUEST_BUILDERS\n"
+            "for name in sorted(_REQUEST_BUILDERS):\n"
+            "    requests = _REQUEST_BUILDERS[name](0x5EED)\n"
+            "    for workers in (1, 2):\n"
+            "        print(name, workers, plan_calls(\n"
+            "            requests, range(len(requests)), workers, True))\n"
+        )
+        package = os.path.dirname(os.path.dirname(batch_module.__file__))
+        plans = []
+        for seed in ("1", "2", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(package))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            plans.append(proc.stdout)
+        assert plans[0] == plans[1] == plans[2]
+        assert plans[0].count("\n") == 6
+
+    @pytest.mark.parametrize("name", ["fig14", "table5", "probes"])
+    def test_pooled_batch_is_byte_identical_to_in_process(self, name):
+        requests = _builders()[name](0x5EED)
+        serial = run_batch(requests, jobs=1, cache=False)
+        pooled = run_batch(requests, jobs=2, cache=False)
+        assert list(map(canonical_result, pooled)) \
+            == list(map(canonical_result, serial))
+
+
 class TestFingerprintMemo:
     def test_rebuilt_fig14_requests_do_not_grow_the_memo(self):
         from repro.engine import batch
-        from repro.engine.bench import _REQUEST_BUILDERS
+        from repro.harness.requests import _REQUEST_BUILDERS
 
         def keys():
             return [request.cache_key()
@@ -202,3 +308,34 @@ class TestFingerprintMemo:
         for _ in range(50):
             assert keys() == expected
         assert len(batch._FP_MEMO) == entries
+
+    def test_memo_evicts_one_entry_at_a_time_and_pins_nothing(
+            self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.apps.benchmark import make_benchmark_app
+        from repro.engine import batch
+        from repro.sim.costs import DEFAULT_COSTS
+
+        monkeypatch.setattr(batch, "_FP_MEMO", type(batch._FP_MEMO)())
+        monkeypatch.setattr(batch, "_FP_MEMO_CAP", 6)
+        apps, sizes = [], []
+        for views in range(8, 8 + 12 * 4, 4):
+            app = make_benchmark_app(views)
+            RunRequest.handling("rchdroid", app).cache_key()
+            apps.append(app)
+            sizes.append(len(batch._FP_MEMO))
+        # Past the cap (the cost model plus twelve live apps) the memo
+        # holds exactly the cap and never drops back: no clear-all.
+        assert max(sizes) == 6 and sizes == sorted(sizes)
+        assert sizes[-1] == 6
+        # The least recently used apps went; the cost model, used by
+        # every key, and the five newest apps stay.
+        kept = {id(entry[0]()) for entry in batch._FP_MEMO.values()}
+        assert kept == {id(DEFAULT_COSTS), *map(id, apps[-5:])}
+        # A rebuilt corpus is freed: the memo holds no strong reference.
+        refs = [weakref.ref(app) for app in apps]
+        del apps, app
+        gc.collect()
+        assert all(ref() is None for ref in refs)

@@ -3,6 +3,7 @@
 import json
 
 from repro.engine import bench
+from repro.harness.requests import _REQUEST_BUILDERS
 
 
 def _snapshot_section(*, identical=True):
@@ -105,18 +106,18 @@ class TestReportOutput:
 
 class TestRequestBuilders:
     def test_fig14_builder_covers_both_policies(self):
-        requests = bench._REQUEST_BUILDERS["fig14"]()
+        requests = _REQUEST_BUILDERS["fig14"]()
         assert len(requests) == 118
         assert {request.policy for request in requests} \
             == {"android10", "rchdroid"}
 
     def test_table5_builder_covers_the_full_corpus(self):
-        requests = bench._REQUEST_BUILDERS["table5"]()
+        requests = _REQUEST_BUILDERS["table5"]()
         assert len(requests) == 200
         assert {request.kind for request in requests} == {"issue"}
 
     def test_probes_builder_is_two_prefix_groups(self):
-        requests = bench._REQUEST_BUILDERS["probes"]()
+        requests = _REQUEST_BUILDERS["probes"]()
         assert {request.kind for request in requests} == {"probe"}
         prefixes = {request.prefix_key() for request in requests}
         assert len(prefixes) == 2

@@ -14,10 +14,10 @@ import hashlib
 
 from repro.apps.appset27 import build_appset27
 from repro.apps.top100 import build_top100
-from repro.engine.bench import _REQUEST_BUILDERS
 from repro.engine.fingerprint import fingerprint
 from repro.fleet.population import fleet_corpus
 from repro.fleet.run import FleetSpec, template_key
+from repro.harness.requests import _REQUEST_BUILDERS
 from repro.hunt.generator import generate_app
 from repro.serve.protocol import fleet_params_fingerprint
 from repro.sim.costs import DEFAULT_COSTS

@@ -16,10 +16,10 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.engine.batch import run_batch
-from repro.engine.bench import _REQUEST_BUILDERS
+from repro.engine.batch import plan_calls, run_batch
 from repro.engine.codec import experiment_digest
 from repro.fleet.run import run_fleet
+from repro.harness.requests import _REQUEST_BUILDERS
 from repro.serve import server
 from repro.serve.protocol import fleet_spec_from_params
 from repro.serve.server import Daemon, _Server
@@ -89,10 +89,58 @@ class TestExperimentJobs:
         assert cold["digest"] == probes_digest
         assert warm["cache_hits"] == warm["runs"] == cold["runs"]
         assert warm["digest"] == probes_digest
-        # The cached repeat never touched the pool; the cold job kept
-        # the pool exactly one unit ahead of its worker.
-        assert len(seen) == cold["runs"]
+        # The cached repeat never touched the pool; the cold job ran as
+        # one planned call per prefix group and kept the pool exactly
+        # one unit ahead of its worker.
+        assert len(seen) == 2
         assert max(seen) == server.UNITS_PER_WORKER == 2
+
+    def test_cold_fig14_runs_as_planned_calls(self, tmp_path):
+        requests = _REQUEST_BUILDERS["fig14"](SEED)
+        expected = experiment_digest(run_batch(requests, jobs=1,
+                                               cache=False))
+        calls = plan_calls(requests, range(len(requests)), 1, share=True)
+        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+        seen = _watch_window(daemon)
+
+        async def run():
+            job = daemon.submit("experiment", {"experiment": "fig14"},
+                                "tests")
+            await _wait(job)
+            return job.events[-1]
+
+        try:
+            done = asyncio.run(run())
+        finally:
+            daemon.shutdown()
+        assert done["event"] == "done" and done["exit"] == 0
+        assert done["runs"] == len(requests) and done["cache_hits"] == 0
+        assert done["digest"] == expected
+        # 118 lone requests in calls of MAX_CALL_REQUESTS: 8, not 118.
+        assert len(seen) == len(calls) == 8
+        assert daemon.counters["units_run"] == len(calls)
+
+    def test_cancel_with_two_calls_in_flight(self, tmp_path):
+        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+
+        async def run():
+            job = daemon.submit("experiment", {"experiment": "fig14"},
+                                "tests")
+            assert len(job.futures) == 2
+            assert daemon.status()["inflight_units"] == 2
+            assert daemon.cancel(job)
+            await _drain(daemon)
+            return job
+
+        try:
+            job = asyncio.run(run())
+            assert job.state == "cancelled"
+            assert job.events[-1]["event"] == "cancelled"
+            assert not job.futures and job.in_flight == 0
+            assert daemon.status()["inflight_units"] == 0
+            assert len(daemon.cache) == 0
+        finally:
+            daemon.shutdown()
 
 
 class _StubPool:
