@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.android.app.activity import Activity
     from repro.sim.context import SimContext
 
+_NO_ATTRS: frozenset[str] = frozenset()
+"""The ``user_set_attrs`` of a view no ``set_attr`` has reached."""
+
 
 class View:
     """A node of the view tree."""
@@ -71,12 +74,17 @@ class View:
         self.owner: "Activity | None" = None
         self.alive = True
         self.attrs: dict[str, Any] = {}
-        self.user_set_attrs: set[str] = set()
+        self.user_set_attrs: set[str] | frozenset[str] = _NO_ATTRS
         """Attributes mutated at runtime (through ``set_attr``), as
         opposed to inflate-time defaults from the layout resource.  Only
         these are saved, restored, and migrated — a layout default must
         be re-resolved against the *new* configuration's resources (e.g.
-        a locale switch re-reads the string), never carried over."""
+        a locale switch re-reads the string), never carried over.
+
+        Most views are never mutated, so a view starts with the shared
+        empty ``frozenset`` and gets a ``set`` of its own on its first
+        ``set_attr``: an empty ``set`` per view was tens of thousands of
+        objects per run for the cycle collector to track."""
         self.dirty = False
         # RCHDroid additions (paper Section 4, View class patch):
         self.shadow_state = False
@@ -89,28 +97,27 @@ class View:
     def attach(self, owner: "Activity") -> None:
         """Bind this view and its descendants to an owning activity,
         registering each one's memory footprint in preorder."""
-        for view in self.iter_tree():
-            view.bind(owner)
-
-    def bind(self, owner: "Activity") -> None:
-        """Bind this one view (not its descendants) to ``owner`` and
-        register its memory footprint."""
-        self.owner = owner
-        self.ctx.memory.allocate(
-            owner.process.name,
-            ("view", self.memory_key),
-            self.ctx.costs.view_base_mb + self.MEMORY_EXTRA_MB,
-        )
+        bind_views(list(self.iter_tree()), owner)
 
     def destroy(self) -> None:
-        """Tombstone the view and release its footprint."""
-        if not self.alive:
-            return
-        self.alive = False
-        if self.owner is not None:
-            self.ctx.memory.free(
-                self.owner.process.name, ("view", self.memory_key)
-            )
+        """Tombstone this view and its descendants, children before
+        their parent, and release each footprint.
+
+        A dead view is skipped, but its descendants are still visited.
+        The walk is iterative: the reverse of a preorder that pushes
+        children left to right (and so visits them right to left) is the
+        postorder.  All releases go to the accountant in one
+        ``free_many``.
+        """
+        order: list[View] = []
+        stack: list[View] = [self]
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            view = pop()
+            order.append(view)
+            push(view.children)
+        self.ctx.memory.free_many(_tombstone(reversed(order)))
 
     def require_alive(self) -> None:
         if not self.alive:
@@ -139,7 +146,12 @@ class View:
                 f"view mutation on dead process {self.owner.process.name}"
             )
         self.attrs[name] = value
-        self.user_set_attrs.add(name)
+        if type(self.user_set_attrs) is frozenset:
+            # Tested by type, not identity: a view restored from a
+            # snapshot holds an unpickled copy of the empty frozenset.
+            self.user_set_attrs = {name}
+        else:
+            self.user_set_attrs.add(name)
         if silent:
             return
         if self.owner is not None:
@@ -211,7 +223,7 @@ class View:
         explicit snapshot (Section 3.3), which saves every attribute of
         every id-bearing view so the sunny instance can be fully recovered.
         """
-        if self.view_id is None:
+        if self.view_id is None or not self.user_set_attrs:
             return
         runtime_attrs = [a for a in self.attrs if a in self.user_set_attrs]
         attr_names = (
@@ -272,11 +284,6 @@ class ViewGroup(View):
         self.children.remove(child)
         child.parent = None
 
-    def destroy(self) -> None:
-        for child in self.children:
-            child.destroy()
-        super().destroy()
-
     def save_state(self, out: Bundle, *, full: bool) -> None:
         super().save_state(out, full=full)
         for child in self.children:
@@ -294,3 +301,25 @@ class DecorView(ViewGroup):
     __slots__ = ()
 
     view_type = "DecorView"
+
+
+def _tombstone(views: "Iterator[View]") -> "Iterator[tuple[str, tuple]]":
+    """Mark each live view of ``views`` dead and yield its ledger entry
+    as it goes, so each view dies just before its release."""
+    for view in views:
+        if view.alive:
+            view.alive = False
+            if view.owner is not None:
+                yield view.owner.process.name, ("view", view.memory_key)
+
+
+def bind_views(views: Sequence[View], owner: "Activity") -> None:
+    """Bind each of ``views`` to ``owner`` and register their memory
+    footprints, in list order, with one ``allocate_many``."""
+    base_mb = owner.ctx.costs.view_base_mb
+    for view in views:
+        view.owner = owner
+    owner.ctx.memory.allocate_many(owner.process.name, (
+        (("view", view.memory_key), base_mb + view.MEMORY_EXTRA_MB)
+        for view in views
+    ))

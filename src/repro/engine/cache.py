@@ -94,10 +94,6 @@ class ResultCache:
         except OSError:
             pass  # a read-only or full disk degrades to memory-only
 
-    def clear_memory(self) -> None:
-        """Drop tier 1 (used to measure the disk tier in isolation)."""
-        self._memory.clear()
-
     def __len__(self) -> int:
         return len(self._memory)
 

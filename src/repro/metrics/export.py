@@ -33,19 +33,24 @@ def run_to_dict(recorder: "TraceRecorder") -> dict:
             for record in recorder.latencies
         ],
         "heap": [
-            {"when_ms": sample.when_ms, "process": sample.process,
-             "mb": sample.mb}
-            for sample in recorder.heap
+            {"when_ms": when_ms, "process": process, "mb": mb}
+            for when_ms, process, mb in zip(
+                recorder.heap_when_ms, recorder.heap_process, recorder.heap_mb
+            )
         ],
         "busy": [
             {
-                "process": interval.process,
-                "thread": interval.thread,
-                "start_ms": interval.start_ms,
-                "duration_ms": interval.duration_ms,
-                "label": interval.label,
+                "process": process,
+                "thread": thread,
+                "start_ms": start_ms,
+                "duration_ms": duration_ms,
+                "label": label,
             }
-            for interval in recorder.busy
+            for process, thread, start_ms, duration_ms, label in zip(
+                recorder.busy_process, recorder.busy_thread,
+                recorder.busy_start_ms, recorder.busy_duration_ms,
+                recorder.busy_label,
+            )
         ],
         "events": [
             {"when_ms": event.when_ms, "kind": event.kind,

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import reduce
+from itertools import repeat
 from operator import add
-from typing import TYPE_CHECKING, Hashable
-
-from repro.metrics.recorder import HeapSample
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.recorder import TraceRecorder
@@ -39,6 +38,12 @@ class MemoryAccountant:
     and can differ in the last bits from 3.11's plain left-to-right
     addition, which made the heap series interpreter-dependent.  An
     empty ledger totals the int ``0``.
+
+    Every change appends one heap sample to the recorder's columns.  A
+    view tree registers and releases its views through
+    :meth:`allocate_many` and :meth:`free_many`, which make exactly the
+    ledger changes, totals and samples of one :meth:`allocate` or
+    :meth:`free` per entry, and append the samples in one go.
     """
 
     def __init__(self, clock: "VirtualClock", recorder: "TraceRecorder"):
@@ -56,30 +61,57 @@ class MemoryAccountant:
         Re-allocating the same owner replaces its footprint (an object that
         grows, e.g. an ImageView that decodes a bitmap).
         """
+        self.allocate_many(process, ((owner, mb),))
+
+    def allocate_many(
+        self, process: str, entries: Iterable[tuple[Hashable, float]]
+    ) -> None:
+        """:meth:`allocate` each ``(owner, mb)`` of ``entries`` in order."""
         ledger = self._ledgers[process]
-        replacing = owner in ledger
-        ledger[owner] = mb
-        total = self._totals[process] = (
-            _fold(ledger) if replacing else self._totals.get(process, 0) + mb
-        )
-        self._recorder.heap.append(
-            HeapSample(self._clock.now_ms, process, total)
-        )
+        total = self._totals.get(process, 0)
+        totals = []
+        for owner, mb in entries:
+            replacing = owner in ledger
+            ledger[owner] = mb
+            total = _fold(ledger) if replacing else total + mb
+            totals.append(total)
+        if totals:
+            self._totals[process] = total
+            self._record(repeat(process, len(totals)), totals)
 
     def free(self, process: str, owner: Hashable) -> None:
         """Release ``owner``'s footprint; freeing twice is a no-op."""
-        ledger = self._ledgers[process]
-        if ledger.pop(owner, None) is not None:
-            total = self._totals[process] = _fold(ledger)
-            self._recorder.heap.append(
-                HeapSample(self._clock.now_ms, process, total)
-            )
+        self.free_many(((process, owner),))
+
+    def free_many(self, entries: Iterable[tuple[str, Hashable]]) -> None:
+        """:meth:`free` each ``(process, owner)`` of ``entries`` in order.
+
+        Each release refolds the process's remaining ledger, as
+        :meth:`free` does: the total stays the exact left fold.
+        """
+        processes = []
+        totals = []
+        for process, owner in entries:
+            ledger = self._ledgers[process]
+            if ledger.pop(owner, None) is not None:
+                total = self._totals[process] = _fold(ledger)
+                processes.append(process)
+                totals.append(total)
+        if totals:
+            self._record(processes, totals)
 
     def drop_process(self, process: str) -> None:
         """Zero a process ledger (process death / crash)."""
         self._ledgers[process] = {}
         self._totals[process] = 0
-        self._recorder.heap.append(HeapSample(self._clock.now_ms, process, 0))
+        self._recorder.record_heap(self._clock.now_ms, process, 0)
+
+    def _record(self, processes: Iterable[str], totals: list[float]) -> None:
+        """One heap sample per total, all at the current instant."""
+        recorder = self._recorder
+        recorder.heap_when_ms.extend(repeat(self._clock.now_ms, len(totals)))
+        recorder.heap_process.extend(processes)
+        recorder.heap_mb.extend(totals)
 
     # ------------------------------------------------------------------
     # queries

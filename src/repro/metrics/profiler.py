@@ -49,10 +49,14 @@ class Profiler:
         windows = self._window_starts(start_ms, end_ms, window_ms)
         window_ends = [window_start + window_ms for window_start in windows]
         busy_per_window = [0.0] * len(windows)
-        for interval in self._recorder.busy:
-            if interval.process != process:
+        recorder = self._recorder
+        for owner, busy_start, duration in zip(
+            recorder.busy_process, recorder.busy_start_ms,
+            recorder.busy_duration_ms,
+        ):
+            if owner != process:
                 continue
-            busy_start, busy_end = interval.start_ms, interval.end_ms
+            busy_end = busy_start + duration
             # Only windows ending after the interval starts and starting
             # before it ends can overlap it; both bounds are monotone.
             for index in range(bisect_right(window_ends, busy_start),
@@ -75,15 +79,24 @@ class Profiler:
         window_ms: float,
     ) -> list[tuple[float, float]]:
         """Heap size (MB) sampled at each window start (step function)."""
-        samples = sorted(
-            self._recorder.heap_of(process), key=lambda sample: sample.when_ms
-        )
+        recorder = self._recorder
+        whens: list[float] = []
+        sizes: list[float] = []
+        for when_ms, owner, mb in zip(
+            recorder.heap_when_ms, recorder.heap_process, recorder.heap_mb
+        ):
+            if owner == process:
+                whens.append(when_ms)
+                sizes.append(mb)
+        # Sample indices in time order; the sort is stable, so samples
+        # of one instant keep their recording order.
+        order = sorted(range(len(whens)), key=whens.__getitem__)
         series: list[tuple[float, float]] = []
         current = 0.0
         cursor = 0
         for window_start in self._window_starts(start_ms, end_ms, window_ms):
-            while cursor < len(samples) and samples[cursor].when_ms <= window_start:
-                current = samples[cursor].mb
+            while cursor < len(order) and whens[order[cursor]] <= window_start:
+                current = sizes[order[cursor]]
                 cursor += 1
             series.append((window_start, current))
         return series
@@ -114,12 +127,16 @@ class Profiler:
         self, process: str, start_ms: float = 0.0, end_ms: float = float("inf")
     ) -> float:
         """Total busy time of one process in the interval (CPU overhead)."""
+        recorder = self._recorder
         return sum(
-            min(interval.end_ms, end_ms) - max(interval.start_ms, start_ms)
-            for interval in self._recorder.busy
-            if interval.process == process
-            and interval.end_ms > start_ms
-            and interval.start_ms < end_ms
+            min(busy_start + duration, end_ms) - max(busy_start, start_ms)
+            for owner, busy_start, duration in zip(
+                recorder.busy_process, recorder.busy_start_ms,
+                recorder.busy_duration_ms,
+            )
+            if owner == process
+            and busy_start + duration > start_ms
+            and busy_start < end_ms
         )
 
     # ------------------------------------------------------------------

@@ -16,11 +16,11 @@ from typing import Any, Callable
 class _Record:
     """Base of the immutable-by-convention trace records.
 
-    Plain ``__slots__`` classes rather than frozen dataclasses: a run
-    builds tens of thousands of heap samples and busy intervals, and a
-    frozen dataclass's ``object.__setattr__`` per field costs about four
-    times as much to construct.  Records compare, hash and print by
-    their fields, and pickle as ``(class, fields)``.
+    Plain ``__slots__`` classes rather than frozen dataclasses: the
+    recorder's ``heap`` and ``busy`` reads build tens of thousands of
+    records, and a frozen dataclass's ``object.__setattr__`` per field
+    costs about four times as much to construct.  Records compare, hash
+    and print by their fields, and pickle as ``(class, fields)``.
     """
 
     __slots__ = ()
@@ -140,16 +140,79 @@ class _OpenLatency:
 
 
 class TraceRecorder:
-    """Append-only store of everything measured during a run."""
+    """Append-only store of everything measured during a run.
+
+    Heap samples and busy intervals are stored column-wise.  A run
+    records one heap sample per memory-ledger change and one busy
+    interval per unit of simulated work, some 140,000 of them in a pass
+    over the paper's experiments; a record object each is that many
+    objects for the cycle collector to track and scan, while the floats
+    and strs of a column are never tracked.  Entry *i* of every column
+    of a stream is record *i*:
+
+    * heap samples: ``heap_when_ms``, ``heap_process``, ``heap_mb``;
+    * busy intervals: ``busy_process``, ``busy_thread``,
+      ``busy_start_ms``, ``busy_duration_ms``, ``busy_label``.
+
+    The :attr:`heap` and :attr:`busy` properties build the equivalent
+    :class:`HeapSample` / :class:`BusyInterval` records on each read;
+    the profiler and the exporter read the columns directly.  Events,
+    latencies and crashes are few and stay record lists.
+    """
+
+    HISTORY = (
+        "busy_process", "busy_thread", "busy_start_ms", "busy_duration_ms",
+        "busy_label", "heap_when_ms", "heap_process", "heap_mb",
+        "events", "latencies",
+    )
+    """The query-only history lists (see :meth:`swap_history`)."""
 
     def __init__(self) -> None:
-        self.busy: list[BusyInterval] = []
-        self.heap: list[HeapSample] = []
+        self.busy_process: list[str] = []
+        self.busy_thread: list[str] = []
+        self.busy_start_ms: list[float] = []
+        self.busy_duration_ms: list[float] = []
+        self.busy_label: list[str] = []
+        self.heap_when_ms: list[float] = []
+        self.heap_process: list[str] = []
+        self.heap_mb: list[float] = []
         self.events: list[PointEvent] = []
         self.latencies: list[LatencyRecord] = []
         self.crashes: list[CrashRecord] = []
         self._open: dict[str, _OpenLatency] = {}
         self.counters: dict[str, int] = defaultdict(int)
+
+    @property
+    def busy(self) -> list[BusyInterval]:
+        """Every busy interval, as records built on this read."""
+        return list(map(
+            BusyInterval, self.busy_process, self.busy_thread,
+            self.busy_start_ms, self.busy_duration_ms, self.busy_label,
+        ))
+
+    @property
+    def heap(self) -> list[HeapSample]:
+        """Every heap sample, as records built on this read."""
+        return list(map(
+            HeapSample, self.heap_when_ms, self.heap_process, self.heap_mb
+        ))
+
+    def swap_history(
+        self, history: "tuple[list, ...] | None" = None
+    ) -> tuple[list, ...]:
+        """Put ``history`` (fresh empty lists by default) in place of the
+        :attr:`HISTORY` lists and return the lists it replaced.
+
+        Snapshot capture with ``trim_history`` swaps the lists out around
+        the pickling and back afterwards, so neither direction copies an
+        entry.
+        """
+        previous = tuple(getattr(self, name) for name in self.HISTORY)
+        if history is None:
+            history = tuple([] for _ in self.HISTORY)
+        for name, value in zip(self.HISTORY, history):
+            setattr(self, name, value)
+        return previous
 
     # ------------------------------------------------------------------
     # raw capture
@@ -163,12 +226,16 @@ class TraceRecorder:
         label: str = "",
     ) -> None:
         if duration_ms > 0:
-            self.busy.append(
-                BusyInterval(process, thread, start_ms, duration_ms, label)
-            )
+            self.busy_process.append(process)
+            self.busy_thread.append(thread)
+            self.busy_start_ms.append(start_ms)
+            self.busy_duration_ms.append(duration_ms)
+            self.busy_label.append(label)
 
     def record_heap(self, when_ms: float, process: str, mb: float) -> None:
-        self.heap.append(HeapSample(when_ms, process, mb))
+        self.heap_when_ms.append(when_ms)
+        self.heap_process.append(process)
+        self.heap_mb.append(mb)
 
     def record_event(
         self, when_ms: float, kind: str, detail: str = "", process: str = ""
@@ -227,4 +294,10 @@ class TraceRecorder:
         return any(crash.process == process for crash in self.crashes)
 
     def heap_of(self, process: str) -> list[HeapSample]:
-        return [sample for sample in self.heap if sample.process == process]
+        return [
+            HeapSample(when_ms, owner, mb)
+            for when_ms, owner, mb in zip(
+                self.heap_when_ms, self.heap_process, self.heap_mb
+            )
+            if owner == process
+        ]

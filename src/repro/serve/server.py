@@ -138,7 +138,6 @@ class Daemon:
         self.root = root or tempfile.mkdtemp(prefix="repro-serve-")
         os.makedirs(self.root, exist_ok=True)
         self.template_root = os.path.join(self.root, "templates")
-        self.snapshot_root = os.path.join(self.root, "snapshots")
         self.store = SnapshotStore(root=self.template_root)
         self.cache = ResultCache(root=os.path.join(self.root, "results"))
         self.pool = PersistentPool(self.workers)
@@ -359,8 +358,7 @@ class Daemon:
                                          share=True)
         for index, call in enumerate(job.exp_calls):
             job.add_unit(batch.execute_call,
-                         (batch.call_requests(requests, call),
-                          self.snapshot_root, False),
+                         (batch.call_requests(requests, call), None, False),
                          tag=f"call:{index}")
         job.no_more_units = True
 

@@ -73,8 +73,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Version 2: externals and the null tracer travel through
 #: ``reducer_override`` instead of persistent ids.  Version 3: trace
 #: records are slotted classes, the RNG pickles its state as bytes, and
-#: the memory accountant carries running per-process totals.
-SNAPSHOT_FORMAT_VERSION = 3
+#: the memory accountant carries running per-process totals.  Version
+#: 4: the recorder stores heap samples and busy intervals as columns, and
+#: a view's ``user_set_attrs`` may be the empty frozenset.
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: The externals of the :func:`loads` call in progress (per thread and
 #: per asyncio task, as context variables are).
@@ -257,25 +259,14 @@ class SystemSnapshot:
             )
         externals = tuple(system.shared_inputs())
         recorder = system.ctx.recorder
-        saved_history = (
-            (recorder.busy, recorder.heap, recorder.events,
-             recorder.latencies)
-            if trim_history
-            else None
-        )
+        saved_history = recorder.swap_history() if trim_history else None
         try:
-            if saved_history is not None:
-                recorder.busy = []
-                recorder.heap = []
-                recorder.events = []
-                recorder.latencies = []
             payload = dumps(system, externals)
         except (pickle.PicklingError, TypeError, ValueError) as exc:
             raise SnapshotError(f"cannot capture system: {exc}") from exc
         finally:
             if saved_history is not None:
-                (recorder.busy, recorder.heap, recorder.events,
-                 recorder.latencies) = saved_history
+                recorder.swap_history(saved_history)
         return cls(
             payload,
             externals,

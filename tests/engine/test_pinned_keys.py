@@ -8,6 +8,12 @@ byte-identical, or the stores silently stop hitting (and a schema bump
 would be owed).  This test hashes one ordered list of keys covering
 each layer and compares it with a sha256 recorded before the one-pass
 canonical writer replaced the build-then-dump pipeline.
+
+Prefix and template keys fold in the snapshot format version, so a
+format bump moves them on purpose.  The surface is pinned at the
+current version and, with the version patched back to 3, at the hash
+recorded under format 3: that one proves a bump left the canonical form
+itself where it was.
 """
 
 import hashlib
@@ -23,6 +29,10 @@ from repro.serve.protocol import fleet_params_fingerprint
 from repro.sim.costs import DEFAULT_COSTS
 
 PINNED_KEY_SURFACE_SHA256 = (
+    "22165953be486d58623081ada8af6244428211965f624fb15defdb065b135a5c"
+)
+#: The surface with ``SNAPSHOT_FORMAT_VERSION`` 3.
+FORMAT_3_KEY_SURFACE_SHA256 = (
     "9b82ea1f8bb4fce07f1eef9b941de705d463b2b6794915ccbf422456449e019b"
 )
 
@@ -54,8 +64,19 @@ def key_surface() -> list[str]:
     return keys
 
 
-def test_key_surface_is_pinned():
+def _surface_sha256() -> str:
     keys = key_surface()
     assert len(keys) == 1076
-    digest = hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest()
-    assert digest == PINNED_KEY_SURFACE_SHA256
+    return hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest()
+
+
+def test_key_surface_is_pinned():
+    assert _surface_sha256() == PINNED_KEY_SURFACE_SHA256
+
+
+def test_key_surface_at_format_3_is_unchanged(monkeypatch):
+    """Only the version moved the keys: at format 3 they are the keys
+    format 3 wrote."""
+    monkeypatch.setattr("repro.engine.batch.SNAPSHOT_FORMAT_VERSION", 3)
+    monkeypatch.setattr("repro.fleet.run.SNAPSHOT_FORMAT_VERSION", 3)
+    assert _surface_sha256() == FORMAT_3_KEY_SURFACE_SHA256

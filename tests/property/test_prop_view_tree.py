@@ -1,10 +1,13 @@
-"""Property tests: iterative view-tree walks and the one-pass inflater.
+"""Property tests: iterative view-tree walks, the one-pass inflater and
+the batched teardown.
 
-``iter_tree``, ``count_views`` and ``find_by_id`` walk an explicit stack,
-and ``inflate`` builds, resolves and registers a tree over one flat
-preorder list.  Both are checked against the recursive reference
-implementations kept below, over random trees: same visiting order, same
-memory-ledger keys and owner order, and the same heap samples.
+``iter_tree``, ``count_views`` and ``find_by_id`` walk an explicit stack;
+``inflate`` builds, resolves and registers a tree over one flat preorder
+list with one ``allocate_many``; ``destroy`` tombstones a subtree in an
+iterative postorder and releases it with one ``free_many``.  All are
+checked against the recursive reference implementations kept below, over
+random trees: same visiting order, same memory-ledger keys and owner
+order, and the same heap samples.
 """
 
 import sys
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AndroidSystem
+from repro.android.os import Bundle
 from repro.android.res import StringRes
 from repro.android.views.inflate import LayoutSpec, ViewSpec, inflate
 from repro.android.views.view import DecorView, ViewGroup
@@ -84,6 +88,17 @@ def ref_attach(view, owner):
     )
     for child in getattr(view, "children", ()):
         ref_attach(child, owner)
+
+
+def ref_destroy(view):
+    for child in getattr(view, "children", ()):
+        ref_destroy(child)
+    if not view.alive:
+        return
+    view.alive = False
+    if view.owner is not None:
+        view.ctx.memory.free(view.owner.process.name,
+                             ("view", view.memory_key))
 
 
 def ref_decor(ctx, layout):
@@ -191,8 +206,75 @@ def test_invalid_layout_fails_before_any_allocation():
     bad_type = LayoutSpec("bad", roots=[
         ViewSpec("ViewGroup", 1, children=[ViewSpec("Nonsense", 2)]),
     ])
-    for layout, error in ((bad_child, TypeError), (bad_type, KeyError)):
-        with pytest.raises(error):
+    # The views built before the error still took their memory keys:
+    # the decor, 1, 2, 3 and the misplaced child 4; the decor and 1.
+    cases = (
+        (bad_child, TypeError, "TextView cannot contain children (layout 3)",
+         5),
+        (bad_type, KeyError,
+         f"unknown view type 'Nonsense'; known: {sorted(WIDGET_TYPES)}", 2),
+    )
+    for layout, error, message, built in cases:
+        counters = dict(system.ctx._id_counters)
+        with pytest.raises(error) as raised:
             inflate(system.ctx, activity, layout)
+        assert raised.value.args == (message,)
         assert system.ctx.memory.owners(process) == owners
         assert system.ctx.recorder.heap == heap
+        counters["view-mem"] += built
+        assert system.ctx._id_counters == counters
+
+
+# ----------------------------------------------------------------------
+# destroy
+# ----------------------------------------------------------------------
+@given(layouts, layouts, st.integers(min_value=0), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_batched_destroy_matches_recursive_reference(
+    layout, guest_layout, dead_index, graft
+):
+    """One subtree dies first, then the whole tree (re-destroying the
+    dead subtree), then the whole tree again; with ``graft`` the tree
+    also holds a second app's views, owned by its own process."""
+    outcomes = []
+    for destroy in (lambda view: view.destroy(), ref_destroy):
+        system = AndroidSystem()
+        host = system.launch(make_benchmark_app(1)).instance
+        guest = system.launch(make_benchmark_app(2)).instance
+        decor = inflate(system.ctx, host, layout)
+        if graft:
+            for root in inflate(system.ctx, guest, guest_layout).children:
+                root.parent = decor
+                decor.children.append(root)
+        views = list(ref_iter_tree(decor))
+        destroy(views[dead_index % len(views)])
+        destroy(decor)
+        destroy(decor)
+        memory = system.ctx.memory
+        outcomes.append((
+            system.ctx.recorder.heap,
+            [(memory.owners(activity.process.name),
+              memory.total_mb(activity.process.name))
+             for activity in (host, guest)],
+            [view.alive for view in views],
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert not any(outcomes[0][2])
+
+
+# ----------------------------------------------------------------------
+# user_set_attrs
+# ----------------------------------------------------------------------
+def test_restored_view_records_its_first_runtime_attr():
+    system, _ = _launched()
+    fork = AndroidSystem.fork(system.snapshot())
+    view = next(
+        view for view in fork.foreground_activity().decor.iter_tree()
+        if view.view_id is not None and "text" not in view.attrs
+    )
+    assert not view.user_set_attrs
+    view.set_attr("text", "typed")
+    assert view.user_set_attrs == {"text"}
+    saved = Bundle()
+    view.save_state(saved, full=True)
+    assert saved.get_bundle(f"view:{view.view_id}").get("text") == "typed"

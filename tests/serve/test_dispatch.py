@@ -89,6 +89,9 @@ class TestExperimentJobs:
         assert cold["digest"] == probes_digest
         assert warm["cache_hits"] == warm["runs"] == cold["runs"]
         assert warm["digest"] == probes_digest
+        # A call's prefix snapshots stay in its memory-only store: no
+        # later job could read a disk copy.
+        assert not (tmp_path / "root" / "snapshots").exists()
         # The cached repeat never touched the pool; the cold job ran as
         # one planned call per prefix group and kept the pool exactly
         # one unit ahead of its worker.

@@ -222,6 +222,19 @@ class _FormatTwoPickler(snapshot_module._SnapshotPickler):
         return super().reducer_override(obj)
 
 
+class _FormatThreePickler(snapshot_module._SnapshotPickler):
+    """The format-3 writer's recorder layout: heap samples and busy
+    intervals as lists of records, no columns."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, recorder_module.TraceRecorder):
+            state = {key: value for key, value in vars(obj).items()
+                     if not key.startswith(("heap_", "busy_"))}
+            state.update(busy=obj.busy, heap=obj.heap)
+            return copyreg.__newobj__, (recorder_module.TraceRecorder,), state
+        return super().reducer_override(obj)
+
+
 def _old_format_dumps(pickler, obj, externals=()) -> bytes:
     buffer = io.BytesIO()
     pickler(buffer, externals).dump(obj)
@@ -255,8 +268,8 @@ class TestFormatOneEntries:
         yield
         _reset_template_cache()
 
-    def test_format_is_three(self):
-        assert SNAPSHOT_FORMAT_VERSION == 3
+    def test_format_is_four(self):
+        assert SNAPSHOT_FORMAT_VERSION == 4
 
     def test_format_one_payload_cannot_restore_silently(self):
         live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
@@ -345,6 +358,33 @@ class TestFormatTwoEntries:
         stats = template_cache_stats()
         assert stats["disk_reads"] == 0 and stats["rebuilds"] == 1
         assert bytes(snap.payload) == bytes(fresh.payload)
+
+
+class TestFormatThreeEntries:
+    """Format-3 entries are misses: their recorder has no columns."""
+
+    def test_format_three_payload_restores_a_broken_recorder(self):
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        live.launch(make_benchmark_app(1))
+        externals = tuple(live.shared_inputs())
+        payload = _old_format_dumps(_FormatThreePickler, live, externals)
+        restored = SystemSnapshot(payload, externals).restore()
+        with pytest.raises(AttributeError):
+            restored.ctx.recorder.heap
+
+    def test_engine_store_misses_on_format_three_entry(self, tmp_path):
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        prepare_issue(live, make_benchmark_app(2))
+        key = "ef" * 32
+        store = SnapshotStore(root=tmp_path)
+        path = store._path(key)
+        old_path = (tmp_path / f"v3-py{sys.version_info[0]}"
+                    f"{sys.version_info[1]}" / key[:2] / path.name)
+        for entry in (path, old_path):
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_bytes(_old_format_bytes(live, 3, _FormatThreePickler))
+        assert store.get(key) is None
+        assert store.stats.misses == 1 and store.stats.disk_hits == 0
 
 
 class TestDiskRoundTrip:
