@@ -64,6 +64,7 @@ from repro.engine.batch import run_batch
 from repro.engine.cache import ResultCache
 from repro.engine.codec import canonical_result
 from repro.harness.requests import _REQUEST_BUILDERS
+from repro.options import parse
 
 DEFAULT_OUTPUT = "BENCH_engine.json"
 DEFAULT_FLEET_OUTPUT = "BENCH_fleet.json"
@@ -766,106 +767,63 @@ def format_report(report: dict[str, Any]) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    jobs: int | None = None
-    output: str | None = None
-    check = False
-    mode = "engine"
-    devices: int | None = None
-    scaling = True
-    phases = True
-    resume_check = False
-    max_rss_mb: int | None = None
-    while argv:
-        arg = argv.pop(0)
-        if arg == "--jobs" and argv:
-            jobs = int(argv.pop(0))
-        elif arg in ("-o", "--output") and argv:
-            output = argv.pop(0)
-        elif arg == "--check":
-            check = True
-        elif arg == "--devices" and argv:
-            devices = int(argv.pop(0))
-        elif arg == "--no-scaling":
-            scaling = False
-        elif arg == "--phases":
-            phases = True
-        elif arg == "--no-phases":
-            phases = False
-        elif arg == "--resume-check":
-            resume_check = True
-        elif arg == "--max-rss-mb" and argv:
-            max_rss_mb = int(argv.pop(0))
-        elif arg == "--scaling-point" and len(argv) >= 3:
-            # Internal: the subprocess body behind one curve point.
-            return _scaling_point_main(
-                int(argv[0]), int(argv[1]), int(argv[2])
-            )
-        elif arg == "fleet-cli":
-            # Forward the rest to `python -m repro fleet`, optionally
-            # under the RSS ceiling armed above.
-            if max_rss_mb is not None:
-                apply_rss_ceiling(max_rss_mb)
-            from repro.__main__ import fleet_command
+    if argv[:1] == ["--scaling-point"]:
+        # Internal: the subprocess body behind one curve point.
+        return _scaling_point_main(*(int(value) for value in argv[1:4]))
+    opts = parse("bench-engine", argv)
+    if isinstance(opts, int):
+        return opts
+    if opts["max_rss_mb"] is not None:
+        apply_rss_ceiling(opts["max_rss_mb"])
+    if opts.rest is not None:
+        # ``fleet-cli``: forward the rest to `python -m repro fleet`,
+        # under the RSS ceiling armed above.
+        from repro.__main__ import fleet_command
 
-            return fleet_command(argv)
-        elif arg in ("engine", "fleet", "serve", "hunt"):
-            mode = arg
-        else:
-            print(f"bench-engine: unknown argument {arg!r}", file=sys.stderr)
-            return 2
-    if max_rss_mb is not None:
-        apply_rss_ceiling(max_rss_mb)
+        return fleet_command(opts.rest)
+    mode, devices, jobs = opts["mode"], opts["devices"], opts["jobs"]
     if mode == "serve":
         # Daemon benchmark lives with the daemon; same report/check/
         # write conventions, its own default output file.
         from repro.serve.bench import (
-            DEFAULT_SERVE_OUTPUT,
-            check_serve_report,
-            format_serve_report,
+            DEFAULT_SERVE_OUTPUT as default_output,
+            check_serve_report as check,
+            format_serve_report as render,
             run_serve_bench,
         )
 
         report = run_serve_bench(devices=devices)  # None = bench default
-        write_report(report, output or DEFAULT_SERVE_OUTPUT)
-        print(format_serve_report(report))
-        failures = check_serve_report(report)
     elif mode == "hunt":
         # Bug-hunter benchmark lives with the hunter; ``--devices``
         # doubles as its corpus size to keep the flag surface small.
         from repro.hunt.bench import (
-            DEFAULT_HUNT_OUTPUT,
-            check_hunt_bench,
-            format_hunt_bench,
+            DEFAULT_HUNT_OUTPUT as default_output,
+            check_hunt_bench as check,
+            format_hunt_bench as render,
             run_hunt_bench,
         )
 
         report = run_hunt_bench(apps=devices)  # None = bench default
-        write_report(report, output or DEFAULT_HUNT_OUTPUT)
-        print(format_hunt_bench(report))
-        failures = check_hunt_bench(report)
     elif mode == "fleet":
         report = run_fleet_bench(jobs=jobs,
                                  devices=(devices if devices is not None
                                           else DEFAULT_FLEET_DEVICES),
-                                 scaling=scaling, phases=phases,
-                                 resume_check=resume_check)
-        write_report(report, output or DEFAULT_FLEET_OUTPUT)
-        print(format_fleet_report(report))
-        failures = check_fleet_report(report)
+                                 scaling=not opts["no_scaling"],
+                                 phases=not opts["no_phases"],
+                                 resume_check=opts["resume_check"])
+        default_output = DEFAULT_FLEET_OUTPUT
+        render, check = format_fleet_report, check_fleet_report
     else:
         report = run_bench(jobs=jobs)
-        write_report(report, output or DEFAULT_OUTPUT)
-        print(format_report(report))
-        failures = check_report(report)
-    default_out = {"fleet": DEFAULT_FLEET_OUTPUT, "engine": DEFAULT_OUTPUT}.get(mode)
-    if default_out is None and mode == "hunt":
-        from repro.hunt.bench import DEFAULT_HUNT_OUTPUT as default_out
-    elif default_out is None:
-        from repro.serve.bench import DEFAULT_SERVE_OUTPUT as default_out
-    print(f"wrote {output or default_out}")
+        default_output, render, check = DEFAULT_OUTPUT, format_report, check_report
+    output = opts["output"] or default_output
+    write_report(report, output)
+    print(render(report))
+    failures = check(report)
+    print(f"wrote {output}")
     for failure in failures:
         print(f"CHECK FAILED: {failure}", file=sys.stderr)
-    return 1 if (check and failures) else 0
+    return 1 if (opts["check"] and failures) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.errors import FleetError
 from repro.sim.rng import DeterministicRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,6 +73,15 @@ class FaultPlan:
     mid_migration_death_fraction: float = 0.0
     slow_storage_multiplier: float = 4.0
     mid_migration_delay_ms: float = 30.0
+
+    def __post_init__(self) -> None:
+        for fraction in (self.low_memory_kill_fraction,
+                         self.slow_storage_fraction,
+                         self.mid_migration_death_fraction):
+            if not 0.0 <= fraction <= 1.0:
+                raise FleetError(
+                    f"fault fraction must be within [0, 1], got {fraction}"
+                )
 
     def draw(self, seed: int, member: int) -> DeviceFaults:
         """Deterministically assign this plan's faults to one member."""

@@ -70,6 +70,7 @@ from repro.fleet.population import (
     fleet_corpus,
     template_value,
 )
+from repro.options import DEFAULT_SHARD_SIZE
 from repro.workload.ir import Workload
 from repro.workload.phases import PhasePlan, phased_workload
 from repro.harness.report import render_table
@@ -89,7 +90,7 @@ class FleetSpec:
     population: PopulationSpec = DEFAULT_POPULATION
     faults: FaultPlan = NO_FAULTS
     seed: int = 0x5EED
-    shard_size: int = 32
+    shard_size: int = DEFAULT_SHARD_SIZE
     settle_ms: float = 400.0
     oracle_rate: float = 0.0
     """Fraction of members that also get a cross-policy differential

@@ -3,7 +3,7 @@
 Without arguments, lists the available experiment ids.  With ids, runs
 each experiment and prints its paper-style report.
 
-Options (consumed anywhere on the line):
+Options (consumed anywhere on the line; declared in ``repro.options``):
 
 * ``--jobs N``   — fan independent simulation runs across N worker
   processes (``auto``, the default, uses one per CPU core; results are
@@ -27,6 +27,7 @@ import sys
 
 from repro import engine
 from repro.harness.experiments import REGISTRY
+from repro.options import parse, usage
 
 _MODULES = {
     "table2": "table2", "table3": "table3", "table5": "table5",
@@ -40,59 +41,28 @@ _MODULES = {
 }
 
 
-def parse_engine_args(argv: list[str]) -> tuple[list[str], dict, int | None]:
-    """Split engine options out of ``argv``.
-
-    Returns ``(positional, engine_kwargs, error_status)`` —
-    ``error_status`` is None unless an option was malformed.
-    """
-    positional: list[str] = []
-    kwargs: dict = {"cache": True}
-    walker = iter(argv)
-    for arg in walker:
-        if arg == "--jobs":
-            value = next(walker, None)
-            if value == "auto":
-                kwargs["jobs"] = "auto"
-            elif value is None or not value.isdigit() or int(value) < 1:
-                print("--jobs needs a positive integer or 'auto'")
-                return positional, kwargs, 2
-            else:
-                kwargs["jobs"] = int(value)
-        elif arg == "--no-cache":
-            kwargs["cache"] = False
-        elif arg == "--no-snapshots":
-            kwargs["snapshots"] = False
-        elif arg == "--verify-forks":
-            kwargs["verify_forks"] = True
-        elif arg == "--cache-root":
-            value = next(walker, None)
-            if value is None:
-                print("--cache-root needs a path argument")
-                return positional, kwargs, 2
-            kwargs["cache_root"] = value
-        else:
-            positional.append(arg)
-    return positional, kwargs, None
-
-
 def main(argv: list[str]) -> int:
-    keys, engine_kwargs, error = parse_engine_args(argv)
-    if error is not None:
-        return error
+    opts = parse("experiments", argv)
+    if isinstance(opts, int):
+        return opts
+    keys = opts["experiment"]
     if not keys:
         print("available experiments:")
         for key in REGISTRY:
             print(f"  {key}")
-        print("usage: python -m repro.harness.experiments <id> [<id> ...]"
-              " [--jobs N|auto] [--no-cache] [--cache-root PATH]"
-              " [--no-snapshots] [--verify-forks]")
+        print(usage("experiments"))
         return 0
     for key in keys:
         if key not in _MODULES:
             print(f"unknown experiment {key!r}; known: {', '.join(_MODULES)}")
             return 2
-    previous = engine.configure(**engine_kwargs)
+    previous = engine.configure(
+        jobs=opts["jobs"],
+        cache=not opts["no_cache"],
+        cache_root=opts["cache_root"],
+        snapshots=False if opts["no_snapshots"] else None,
+        verify_forks=True if opts["verify_forks"] else None,
+    )
     try:
         for key in keys:
             module = importlib.import_module(

@@ -23,6 +23,7 @@ import math
 from typing import Any
 
 from repro.errors import ServeError
+from repro.options import check_params
 
 PROTOCOL_VERSION = 1
 
@@ -32,73 +33,28 @@ PROTOCOL_VERSION = 1
 #: shared result cache.
 JOB_KINDS = ("fleet", "oracle", "experiment", "hunt")
 
-_FLEET_PARAM_KEYS = frozenset({
-    "devices", "policies", "faults", "oracle", "seed", "shard_size",
-    "workload", "workload_ir", "phases",
-})
-_ORACLE_PARAM_KEYS = frozenset({"app", "policies", "seed", "member"})
-_EXPERIMENT_PARAM_KEYS = frozenset({"experiment", "seed"})
-_HUNT_PARAM_KEYS = frozenset({"apps", "policies", "seed"})
 
+def job_params(kind: str, params: Any) -> dict:
+    """A job's params checked against its kind's option schema
+    (:mod:`repro.options`), every default filled in; raises
+    :class:`ServeError`.
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ServeError(message)
-
-
-def _int_param(params: dict, key: str, default: int) -> int:
-    value = params.get(key, default)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"param {key!r} must be an integer, "
-             f"got {type(value).__name__}")
-    return value
-
-
-def _float_param(params: dict, key: str, default: float) -> float:
-    value = params.get(key, default)
-    _require(isinstance(value, (int, float))
-             and not isinstance(value, bool),
-             f"param {key!r} must be a number, "
-             f"got {type(value).__name__}")
-    return float(value)
-
-
-def _policies_param(params: dict) -> tuple[str, ...]:
-    value = params.get("policies") or []
-    _require(isinstance(value, list)
-             and all(isinstance(p, str) for p in value),
-             "param 'policies' must be a list of policy names")
-    return tuple(value)
+    The schema checks names, types and ranges.  Semantic validation
+    (unknown policy, unknown workload) happens when the spec is built,
+    in the same exception types the CLI sees.
+    """
+    if kind not in JOB_KINDS:
+        raise ServeError(f"unknown job kind {kind!r}; known: {list(JOB_KINDS)}")
+    try:
+        return check_params(kind, params)
+    except ValueError as error:
+        raise ServeError(str(error)) from None
 
 
 def check_job_params(kind: str, params: Any) -> dict:
-    """Validate a job request's shape; raises :class:`ServeError`.
-
-    Shape only — semantic validation (unknown policy, bad rate) happens
-    when the spec is built, in the same exception types the CLI sees.
-    """
-    _require(kind in JOB_KINDS,
-             f"unknown job kind {kind!r}; known: {list(JOB_KINDS)}")
-    if params is None:
-        params = {}
-    _require(isinstance(params, dict), "job params must be a JSON object")
-    allowed = {
-        "fleet": _FLEET_PARAM_KEYS,
-        "oracle": _ORACLE_PARAM_KEYS,
-        "experiment": _EXPERIMENT_PARAM_KEYS,
-        "hunt": _HUNT_PARAM_KEYS,
-    }[kind]
-    unknown = set(params) - allowed
-    _require(not unknown,
-             f"unknown {kind} params {sorted(unknown)}; "
-             f"known: {sorted(allowed)}")
-    if kind == "oracle":
-        _require(isinstance(params.get("app"), str),
-                 "oracle jobs need an 'app' string param")
-    if kind == "experiment":
-        _require(isinstance(params.get("experiment"), str),
-                 "experiment jobs need an 'experiment' name param")
-    return params
+    """Validate a job request (:func:`job_params`); returns its params."""
+    job_params(kind, params)
+    return {} if params is None else params
 
 
 # ----------------------------------------------------------------------
@@ -117,53 +73,38 @@ def fleet_spec_from_params(params: dict):
     """
     from repro.fleet import FaultPlan, FleetSpec, NO_FAULTS, fleet_corpus
 
-    check_job_params("fleet", params)
-    devices = _int_param(params, "devices", 120)
-    policies = _policies_param(params)
-    faults_fraction = _float_param(params, "faults", 0.0)
-    oracle_rate = _float_param(params, "oracle", 0.0)
-    seed = _int_param(params, "seed", 0x5EED)
-    shard_size = _int_param(params, "shard_size", 32)
-
-    workload_name = params.get("workload")
-    workload_ir = params.get("workload_ir")
-    phases_name = params.get("phases")
-    _require(workload_name is None or isinstance(workload_name, str),
-             "param 'workload' must be a registry name string")
-    _require(workload_ir is None or isinstance(workload_ir, dict),
-             "param 'workload_ir' must be a workload envelope object")
-    _require(phases_name is None or isinstance(phases_name, str),
-             "param 'phases' must be a phase-plan name string")
+    checked = job_params("fleet", params)
     given = [key for key in ("workload", "workload_ir", "phases")
-             if params.get(key) is not None]
-    _require(len(given) <= 1,
-             f"params {given} are mutually exclusive")
+             if checked[key] is not None]
+    if len(given) > 1:
+        raise ServeError(f"params {given} are mutually exclusive")
 
     population = None
     fixed_workload = None
     plan = None
-    if workload_name is not None:
+    if checked["workload"] is not None:
         from repro.workload.library import workload_named
 
-        population = workload_named(workload_name)
-    elif workload_ir is not None:
+        population = workload_named(checked["workload"])
+    elif checked["workload_ir"] is not None:
         from repro.workload.codec import workload_from_dict
 
-        fixed_workload = workload_from_dict(workload_ir)
-    elif phases_name is not None:
+        fixed_workload = workload_from_dict(checked["workload_ir"])
+    elif checked["phases"] is not None:
         from repro.workload.library import phase_plan_named
 
-        plan = phase_plan_named(phases_name)
+        plan = phase_plan_named(checked["phases"])
 
-    cell_count = len(fleet_corpus()) * (len(policies) or 3)
+    policies = checked["policies"] or FleetSpec.policies
+    cell_count = len(fleet_corpus()) * len(policies)
+    faults = checked["faults"]
     return FleetSpec(
-        policies=policies if policies else FleetSpec.policies,
-        devices_per_cell=max(1, math.ceil(devices / cell_count)),
-        faults=(FaultPlan.uniform(faults_fraction)
-                if faults_fraction else NO_FAULTS),
-        seed=seed,
-        shard_size=shard_size,
-        oracle_rate=oracle_rate,
+        policies=policies,
+        devices_per_cell=math.ceil(checked["devices"] / cell_count),
+        faults=FaultPlan.uniform(faults) if faults else NO_FAULTS,
+        seed=checked["seed"],
+        shard_size=checked["shard_size"],
+        oracle_rate=checked["oracle"],
         population=(population if population is not None
                     else FleetSpec.population),
         workload=fixed_workload,
@@ -182,14 +123,13 @@ def hunt_settings_from_params(params: dict):
     (``jobs``, ``cache``) are not params; callers layer them on with
     :func:`dataclasses.replace`.
     """
-    from repro.hunt.generator import DEFAULT_CORPUS_SEED
     from repro.hunt.search import HuntSettings
 
-    check_job_params("hunt", params)
-    policies = _policies_param(params)
+    checked = job_params("hunt", params)
+    policies = checked["policies"]
     return HuntSettings(
-        apps=_int_param(params, "apps", 100),
-        seed=_int_param(params, "seed", DEFAULT_CORPUS_SEED),
+        apps=checked["apps"],
+        seed=checked["seed"],
         **({"policies": policies} if policies else {}),
     )
 
@@ -199,18 +139,8 @@ def fleet_params_fingerprint(params: dict) -> str:
     daemon's warm-path bookkeeping and bench reporting."""
     from repro.engine.fingerprint import fingerprint
 
-    normalized = {
-        "devices": _int_param(params, "devices", 120),
-        "policies": list(_policies_param(params)),
-        "faults": _float_param(params, "faults", 0.0),
-        "oracle": _float_param(params, "oracle", 0.0),
-        "seed": _int_param(params, "seed", 0x5EED),
-        "shard_size": _int_param(params, "shard_size", 32),
-        "workload": params.get("workload"),
-        "workload_ir": params.get("workload_ir"),
-        "phases": params.get("phases"),
-    }
-    return fingerprint(["repro.serve.fleet", PROTOCOL_VERSION, normalized])
+    return fingerprint(["repro.serve.fleet", PROTOCOL_VERSION,
+                        job_params("fleet", params)])
 
 
 def resolve_app(name: str):

@@ -35,6 +35,7 @@ dependency the container does not already have.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import shutil
@@ -57,13 +58,14 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.harness.requests import _REQUEST_BUILDERS
+from repro.options import parse, usage
 from repro.serve import tasks
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    check_job_params,
     encode_event,
     fleet_spec_from_params,
     hunt_settings_from_params,
+    job_params,
     resolve_app,
 )
 from repro.serve.queue import FairScheduler, Job
@@ -160,8 +162,7 @@ class Daemon:
     # ------------------------------------------------------------------
     def submit(self, kind: str, params: dict, client: str) -> Job:
         """Validate, register, and stage a job; raises on bad requests."""
-        params = check_job_params(kind, params)
-        job = Job(kind, params, client)
+        job = Job(kind, job_params(kind, params), client)
         prepare = {
             "fleet": self._prepare_fleet,
             "oracle": self._prepare_oracle,
@@ -289,7 +290,7 @@ class Daemon:
                  devices=state.devices, report_json=job.result,
                  exit=exit_code)
 
-    # --- oracle --------------------------------------------------------
+    # --- oracle and hunt: one unit, one canonical report ----------------
     def _prepare_oracle(self, job: Job) -> None:
         from repro.oracle.session import DEFAULT_POLICIES
 
@@ -299,40 +300,30 @@ class Daemon:
             raise ServeError(
                 f"unknown app {params['app']!r}; known: {known}"
             )
-        policies = tuple(params.get("policies") or DEFAULT_POLICIES)
-        seed = params.get("seed", 0x5EED)
-        member = params.get("member", 0)
+        policies = params["policies"] or DEFAULT_POLICIES
         job.add_unit(tasks.run_oracle_unit,
-                     (app, policies, seed, member), tag="oracle")
+                     (app, policies, params["seed"], params["member"]),
+                     tag="oracle")
         job.no_more_units = True
 
-    def _oracle_result(self, job: Job, tag: str, result: Any) -> None:
-        report_json, clean, text = result
-        job.result = report_json
-        job.oracle_done = (report_json, clean, text)
-
-    def _finalize_oracle(self, job: Job) -> None:
-        report_json, clean, text = job.oracle_done
-        job.emit("done", report_json=report_json, text=text,
-                 exit=0 if clean else 1)
-
-    # --- hunt ----------------------------------------------------------
     def _prepare_hunt(self, job: Job) -> None:
         # Settings are built here, on submit, so a malformed request
-        # (unknown policy, apps < 1) is a 400 — not a failed unit.
+        # (unknown policy) is a 400 — not a failed unit.  The hunt runs
+        # its probe batches in the worker (``jobs=1``): the daemon's
+        # scheduler owns the pool, and a worker spawning its own
+        # grandchild pool would fight it for cores.
         settings = hunt_settings_from_params(job.params)
-        job.add_unit(tasks.run_hunt_unit, settings, tag="hunt")
+        job.add_unit(tasks.run_hunt_unit,
+                     dataclasses.replace(settings, jobs=1), tag="hunt")
         job.no_more_units = True
 
-    def _hunt_result(self, job: Job, tag: str, result: Any) -> None:
-        report_json, clean, text = result
-        job.result = report_json
-        job.hunt_done = (report_json, clean, text)
+    def _report_result(self, job: Job, tag: str, result: Any) -> None:
+        job.report = result
+        job.result = result[0]
 
-    def _finalize_hunt(self, job: Job) -> None:
-        report_json, clean, text = job.hunt_done
-        job.emit("done", report_json=report_json, text=text,
-                 exit=0 if clean else 1)
+    def _finalize_report(self, job: Job) -> None:
+        report_json, text, exit_code = job.report
+        job.emit("done", report_json=report_json, text=text, exit=exit_code)
 
     # --- experiment ----------------------------------------------------
     def _prepare_experiment(self, job: Job) -> None:
@@ -342,8 +333,7 @@ class Daemon:
                 f"unknown experiment {name!r}; "
                 f"known: {sorted(_REQUEST_BUILDERS)}"
             )
-        seed = job.params.get("seed", 0x5EED)
-        requests = _REQUEST_BUILDERS[name](seed)
+        requests = _REQUEST_BUILDERS[name](job.params["seed"])
         job.exp_results: list = [None] * len(requests)
         job.exp_keys = [request.cache_key() for request in requests]
         misses = []
@@ -427,9 +417,9 @@ class Daemon:
         else:
             handler = {
                 "fleet": self._fleet_result,
-                "oracle": self._oracle_result,
+                "oracle": self._report_result,
                 "experiment": self._experiment_result,
-                "hunt": self._hunt_result,
+                "hunt": self._report_result,
             }[job.kind]
             try:
                 handler(job, tag, result)
@@ -444,9 +434,9 @@ class Daemon:
             return
         finalize = {
             "fleet": self._finalize_fleet,
-            "oracle": self._finalize_oracle,
+            "oracle": self._finalize_report,
             "experiment": self._finalize_experiment,
-            "hunt": self._finalize_hunt,
+            "hunt": self._finalize_report,
         }[job.kind]
         finalize(job)
         job.finish("done")
@@ -664,69 +654,30 @@ class _Server:
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
-_USAGE = (
-    "usage: python -m repro serve [--port P] [--host H] [--jobs N|auto]\n"
-    "                             [--root PATH] [--ready-file PATH]\n"
-    "                             [--stream-every N]\n"
-    "       python -m repro serve --stop URL"
-)
-
-
 def main(argv: "list[str] | None" = None) -> int:
-    argv = list(argv or [])
-    host = "127.0.0.1"
-    port = 0
-    jobs: "int | str" = "auto"
-    root: str | None = None
-    ready_file: str | None = None
-    stream_every = DEFAULT_STREAM_EVERY
-    stop_url: str | None = None
-    walker = iter(argv)
-    try:
-        for arg in walker:
-            if arg == "--port":
-                port = int(next(walker))
-            elif arg == "--host":
-                host = next(walker)
-            elif arg == "--jobs":
-                from repro.__main__ import _parse_jobs
-
-                jobs = _parse_jobs(next(walker))
-            elif arg == "--root":
-                root = next(walker)
-            elif arg == "--ready-file":
-                ready_file = next(walker)
-            elif arg == "--stream-every":
-                stream_every = int(next(walker))
-            elif arg == "--stop":
-                stop_url = next(walker)
-            elif arg in ("-h", "--help"):
-                print(_USAGE)
-                return 0
-            else:
-                print(f"unexpected argument {arg!r}")
-                print(_USAGE)
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
-
-    if stop_url is not None:
+    opts = parse("serve", list(argv or []))
+    if isinstance(opts, int):
+        return opts
+    if opts["help"]:
+        print(usage("serve"))
+        return 0
+    if opts["stop"] is not None:
         from repro.serve.client import DaemonClient
 
         try:
-            DaemonClient(stop_url).shutdown()
+            DaemonClient(opts["stop"]).shutdown()
         except ServeError as error:
             print(f"serve error: {error}")
             return 1
-        print(f"asked {stop_url} to shut down")
+        print(f"asked {opts['stop']} to shut down")
         return 0
 
-    return asyncio.run(_serve(host, port, jobs, root, ready_file,
-                              stream_every))
+    stream_every = opts["stream_every"]
+    return asyncio.run(_serve(
+        opts["host"], opts["port"], opts["jobs"], opts["root"],
+        opts["ready_file"],
+        DEFAULT_STREAM_EVERY if stream_every is None else stream_every,
+    ))
 
 
 async def _serve(host, port, jobs, root, ready_file, stream_every) -> int:

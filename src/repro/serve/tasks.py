@@ -41,10 +41,11 @@ def run_oracle_unit(payload):
     """One cross-policy differential session, reported canonically.
 
     ``payload`` is ``(app, policies, seed, member)``; returns
-    ``(report_json, clean, text)`` where ``report_json`` is the
-    canonical ``OracleReport.to_json()`` string — the byte identity the
-    CLI's ``repro oracle -o`` writes — and ``text`` the human table the
-    CLI prints, rendered here so the thin client shows the identical
+    ``(report_json, text, exit_code)`` where ``report_json`` is the
+    canonical ``OracleReport.to_json()`` string — the bytes ``repro
+    oracle -o`` writes — ``text`` the human table it prints, and
+    ``exit_code`` 1 on any SIMULATOR_BUG.  The CLI's in-process path
+    calls this same function, so the thin client shows identical
     output.
     """
     from repro.oracle import (
@@ -56,25 +57,18 @@ def run_oracle_unit(payload):
     app, policies, seed, member = payload
     session = run_oracle_session(app, policies, seed, member=member)
     report = report_for([session])
-    return report.to_json(), report.clean, format_oracle_report(report)
+    return report.to_json(), format_oracle_report(report), int(not report.clean)
 
 
 def run_hunt_unit(payload):
     """One full hunt over the generated corpus, reported canonically.
 
     ``payload`` is a :class:`~repro.hunt.search.HuntSettings`; returns
-    ``(report_json, clean, text)`` where ``report_json`` is the
-    canonical ``HuntReport.to_json()`` string — the byte identity the
-    CLI's ``repro hunt -o`` writes — and ``text`` the human summary the
-    CLI prints.  The hunt runs its probe batches in-process here
-    (``jobs=1``): the daemon's scheduler owns the pool, and a worker
-    spawning its own grandchild pool would fight it for cores.
+    ``(report_json, text, exit_code)`` like :func:`run_oracle_unit`,
+    for ``HuntReport``.  The CLI's in-process path calls this too.
     """
-    import dataclasses
-
     from repro.hunt import format_hunt_report, run_hunt
 
-    settings = dataclasses.replace(payload, jobs=1)
-    report = run_hunt(settings)
-    return report.to_json(), report.clean, format_hunt_report(report)
+    report = run_hunt(payload)
+    return report.to_json(), format_hunt_report(report), int(not report.clean)
 

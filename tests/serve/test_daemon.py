@@ -106,30 +106,43 @@ class TestDeterminism:
 
     def test_cli_and_daemon_client_agree_byte_for_byte(
             self, daemon, tmp_path, reference_report):
-        plain_out = tmp_path / "plain.json"
-        via_daemon_out = tmp_path / "daemon.json"
-        base = [sys.executable, "-m", "repro", "fleet",
-                "--devices", str(DEVICES), "--seed", str(SEED)]
-        plain = subprocess.run(
-            [*base, "--jobs", "1", "-o", str(plain_out)],
-            env=_env(), capture_output=True, text=True, timeout=600,
-        )
-        via = subprocess.run(
-            [*base, "--daemon", daemon, "-o", str(via_daemon_out)],
-            env=_env(), capture_output=True, text=True, timeout=600,
-        )
-        assert plain.returncode == 0, plain.stderr
-        assert via.returncode == 0, via.stderr
-        assert plain_out.read_bytes() == via_daemon_out.read_bytes()
-        assert plain_out.read_text().rstrip("\n") == reference_report
-        # The rendered report table is identical too: same bytes in,
-        # same formatter over them.  Only the trailing "wrote <path>"
-        # line may differ (the two runs write different files).
-        def table(stdout: str) -> list[str]:
-            return [line for line in stdout.splitlines()
-                    if not line.startswith("wrote ")]
+        # One input per job kind the CLI can send: the three remote
+        # paths are one helper, so each kind is compared.  ``local`` are
+        # the in-process-only flags the plain run adds.
+        inputs = [
+            ("fleet", ["--devices", str(DEVICES), "--seed", str(SEED)],
+             ["--jobs", "1"]),
+            ("oracle", ["fleet.notepad"], []),
+            ("hunt", ["--apps", "4"], ["--jobs", "1", "--no-cache"]),
+        ]
+        for kind, args, local in inputs:
+            plain_out = tmp_path / f"{kind}-plain.json"
+            via_daemon_out = tmp_path / f"{kind}-daemon.json"
+            base = [sys.executable, "-m", "repro", kind, *args]
+            plain = subprocess.run(
+                [*base, *local, "-o", str(plain_out)],
+                env=_env(), capture_output=True, text=True, timeout=600,
+            )
+            via = subprocess.run(
+                [*base, "--daemon", daemon, "-o", str(via_daemon_out)],
+                env=_env(), capture_output=True, text=True, timeout=600,
+            )
+            assert plain.returncode == 0, plain.stderr
+            assert via.returncode == 0, via.stderr
+            assert "unreachable" not in via.stderr, kind
+            assert plain_out.read_bytes() == via_daemon_out.read_bytes(), kind
+            if kind == "fleet":
+                assert plain_out.read_text().rstrip("\n") == reference_report
 
-        assert table(plain.stdout) == table(via.stdout)
+            # The rendered report text is identical too: same bytes in,
+            # same formatter over them.  Only the trailing "wrote
+            # <path>" line may differ (the two runs write different
+            # files).
+            def table(stdout: str) -> list[str]:
+                return [line for line in stdout.splitlines()
+                        if not line.startswith("wrote ")]
+
+            assert table(plain.stdout) == table(via.stdout), kind
 
     def test_concurrent_clients_both_get_canonical_bytes(
             self, daemon, reference_report):

@@ -167,7 +167,7 @@ class _StubPool:
         if self.calls in self.cancelled:
             future.cancel()
         elif self.calls not in self.held:
-            future.set_result(("{}", True, "stub"))
+            future.set_result(("{}", "stub", 0))
         return future
 
     def shutdown(self):

@@ -9,6 +9,7 @@ tests pin that function's behaviour directly; the subprocess tests in
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -55,6 +56,57 @@ class TestCheckJobParams:
     def test_experiment_needs_name(self):
         with pytest.raises(ServeError, match="'experiment'"):
             check_job_params("experiment", {})
+
+    @pytest.mark.parametrize("params", [
+        {"devices": 0}, {"devices": -5}, {"shard_size": 0},
+        {"faults": 2}, {"faults": -0.5}, {"oracle": 1.5},
+    ], ids=repr)
+    def test_out_of_range_fleet_params_rejected(self, params):
+        with pytest.raises(ServeError, match=f"param '{next(iter(params))}'"):
+            check_job_params("fleet", params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("oracle", {"app": "fleet.notepad", "seed": "x"}),
+        ("oracle", {"app": "fleet.notepad", "policies": "android10"}),
+        ("oracle", {"app": "fleet.notepad", "member": 1.5}),
+        ("experiment", {"experiment": "fig14", "seed": "x"}),
+        ("hunt", {"apps": 0}),
+        ("hunt", {"seed": "x"}),
+        ("hunt", {"policies": ["rchdroid", 3]}),
+    ], ids=repr)
+    def test_every_kind_types_its_params(self, kind, params):
+        with pytest.raises(ServeError, match="param '"):
+            check_job_params(kind, params)
+
+    def test_bad_params_are_a_400_at_submit(self, tmp_path):
+        import asyncio
+
+        from repro.serve.server import Daemon, _Server
+
+        class Writer:
+            data = b""
+
+            def write(self, chunk):
+                self.data += chunk
+
+        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+        try:
+            for kind, params in [("fleet", {"devices": -5}),
+                                 ("fleet", {"faults": 2}),
+                                 ("oracle", {"app": "fleet.notepad",
+                                             "seed": "x"}),
+                                 ("experiment", {"experiment": "fig14",
+                                                 "seed": "x"})]:
+                writer = Writer()
+                body = json.dumps({"kind": kind, "params": params})
+                asyncio.run(_Server(daemon)._route(
+                    "POST", "/jobs", body.encode(), writer))
+                head, _, reply = writer.data.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400"), (kind, params)
+                assert json.loads(reply)["error"].startswith("param '")
+            assert daemon.jobs == {}
+        finally:
+            daemon.shutdown()
 
 
 class TestFleetSpecFromParams:
@@ -121,6 +173,18 @@ class TestFleetSpecFromParams:
 
         spec = fleet_spec_from_params({"phases": "diurnal"})
         assert spec.phases == phase_plan_named("diurnal")
+
+
+class TestFaultPlan:
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan")])
+    def test_fractions_outside_the_unit_interval_are_refused(self, fraction):
+        from repro.errors import FleetError
+        from repro.fleet import FaultPlan
+
+        with pytest.raises(FleetError, match=r"within \[0, 1\]"):
+            FaultPlan.uniform(fraction)
+        with pytest.raises(FleetError):
+            FaultPlan(slow_storage_fraction=fraction)
 
 
 class TestFingerprint:

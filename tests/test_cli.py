@@ -168,6 +168,16 @@ class TestFleetCli:
         capsys.readouterr()
         assert "oracle" not in json.loads(out_path.read_text())
 
+    def test_fleet_rejects_out_of_range_sizes_and_fractions(self, capsys):
+        # Each of these once ran silently: a 9-device fleet for any
+        # --devices below 1, every device or none faulted for --faults
+        # outside [0, 1].
+        for bad in (["--devices", "0"], ["--devices", "-5"],
+                    ["--shard-size", "0"], ["--faults", "2"],
+                    ["--faults", "-0.5"]):
+            assert repro_main(["fleet", *bad]) == 2, bad
+            assert "bad option value" in capsys.readouterr().out
+
     def test_fleet_rejects_bad_oracle_rate(self, capsys):
         assert repro_main(["fleet", "--devices", "6",
                            "--oracle", "1.5"]) == 2
@@ -494,6 +504,64 @@ class TestHuntCli:
         assert repro_main(args) == 0
         assert "generated apps" in capsys.readouterr().out
         assert out_path.exists()
+
+
+class TestOneOptionSchema:
+    """Every command parses through ``repro.options``: one ``--jobs``
+    rule, one set of messages, usage lines generated from the schema."""
+
+    JOBS_COMMANDS = (["fleet"], ["hunt"], ["fig12"], ["serve"])
+
+    @pytest.mark.parametrize("command", JOBS_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("value", ["0", "-2", "many"])
+    def test_jobs_needs_a_worker_count_or_auto(self, capsys, command, value):
+        assert repro_main([*command, "--jobs", value]) == 2
+        out = capsys.readouterr().out
+        assert ("bad option value: --jobs must be a worker count or 'auto', "
+                f"got {value!r}") in out
+        assert "did you mean" not in out
+
+    @pytest.mark.parametrize("command", JOBS_COMMANDS, ids=" ".join)
+    def test_jobs_typo_gets_the_hint_everywhere(self, capsys, command):
+        assert repro_main([*command, "--jobs", "atuo"]) == 2
+        assert "did you mean 'auto'?" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", JOBS_COMMANDS, ids=" ".join)
+    def test_jobs_missing_its_value(self, capsys, command):
+        assert repro_main([*command, "--jobs"]) == 2
+        assert "missing value for the last option" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["--jobs", "auto"], ["--jobs", "0"], ["--devices", "many"],
+        ["fleet", "--devices", "0"],
+    ], ids=" ".join)
+    def test_bench_engine_counts_exit_2_without_a_traceback(
+            self, capsys, args):
+        assert repro_main(["bench-engine", *args]) == 2
+        assert "bad option value" in capsys.readouterr().err
+
+    def test_help_lists_every_commands_usage(self, capsys):
+        from repro.options import COMMANDS, usage
+
+        assert repro_main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for name, command in COMMANDS.items():
+            if command.prog is not None:
+                assert usage(name) in out, name
+
+    def test_usage_is_generated_from_the_schema(self, capsys):
+        assert repro_main(["oracle", "--bogus"]) == 2
+        out = capsys.readouterr().out
+        assert "unexpected argument '--bogus'" in out
+        assert "usage: python -m repro oracle <app> [--policy NAME]..." in out
+
+    def test_fleet_daemon_rejects_local_only_flags(self, capsys):
+        args = ["fleet", "--daemon", "http://127.0.0.1:1", "--stats",
+                "--checkpoint", "x.ckpt", "--checkpoint-every", "2"]
+        assert repro_main(args) == 2
+        out = capsys.readouterr().out
+        assert ("do not combine with --daemon: --checkpoint, "
+                "--checkpoint-every, --stats") in out
 
 
 def test_readme_quickstart_snippet_executes():

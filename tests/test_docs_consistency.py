@@ -5,6 +5,7 @@ paper-vs-measured record; these tests keep both in lock-step with the
 actual experiment registry so the docs cannot silently rot.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,16 @@ def test_readme_mentions_all_examples():
 
 def test_known_deviations_section_exists(experiments_text):
     assert "Known deviations" in experiments_text
+
+
+def test_serve_md_job_params_table_matches_the_option_schema():
+    from repro.options import COMMANDS
+    from repro.serve.protocol import JOB_KINDS
+
+    text = (ROOT / "docs" / "SERVE.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", text, re.M))
+    for kind in JOB_KINDS:
+        documented = set(re.findall(r"`(\w+)`", rows[kind]))
+        declared = {option.param for option in COMMANDS[kind].options
+                    if option.param}
+        assert documented == declared, kind
