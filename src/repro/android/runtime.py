@@ -11,6 +11,7 @@ shadow-state view tree and is forwarded to the sunny one).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import AppCrash
@@ -56,7 +57,7 @@ class Looper:
     ) -> Message:
         message = Message(callback, label)
         message.event = self.ctx.scheduler.schedule(
-            delay_ms, lambda: self._dispatch(message), label=f"looper:{label}"
+            delay_ms, partial(self._dispatch, message), label=f"looper:{label}"
         )
         return message
 
@@ -167,12 +168,11 @@ class AsyncTask:
             thread="worker",
             label=f"async-post:{self.label}",
         )
+        self.looper.post(self._on_ui, label=f"post-execute:{self.label}")
 
-        def _on_ui() -> None:
-            self.completed_at_ms = self.ctx.now_ms
-            self.on_post_execute()
-
-        self.looper.post(_on_ui, label=f"post-execute:{self.label}")
+    def _on_ui(self) -> None:
+        self.completed_at_ms = self.ctx.now_ms
+        self.on_post_execute()
 
     def _record_worker_cpu(self) -> None:
         """Spread the worker compute over the task's lifetime in 1 s

@@ -12,6 +12,7 @@ is recorded as one ``"handling"`` latency with detail
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.android.app.activity_thread import ActivityThread
@@ -68,7 +69,7 @@ class ActivityTaskManagerService:
             record = ActivityRecord(app, app.main_activity, self.config, thread)
             task.push(record)
             self.stack.push_task(task)
-            process.on_death(lambda _proc: self._on_process_death(task))
+            process.on_death(partial(self._on_process_death, task))
 
             if previous_top is not None:
                 self.policy.on_foreground_switch(self, previous_top)
@@ -89,7 +90,7 @@ class ActivityTaskManagerService:
         self.stack.move_task_to_top(task)
         return task.top()
 
-    def _on_process_death(self, task: TaskRecord) -> None:
+    def _on_process_death(self, task: TaskRecord, _process: Process) -> None:
         if task in self.stack.tasks:
             self.stack.remove_task(task)
 

@@ -22,6 +22,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.android.app.intent import Intent, IntentFlag
@@ -246,17 +247,22 @@ class RCHDroidPolicy(RuntimeChangePolicy):
         if package in self._gc_scheduled:
             return
         self._gc_scheduled.add(package)
+        thread.handler.post_delayed(
+            partial(self._gc_tick, atms, thread),
+            self.config.gc_period_ms,
+            label="gc-tick",
+        )
 
-        def tick() -> None:
-            self._gc_scheduled.discard(package)
-            if not thread.process.alive:
-                return
-            shadow = thread.shadow_activity
-            assert self.gc is not None
-            decision = self.gc.check(thread)
-            if decision is GcDecision.COLLECTED and shadow is not None:
-                self._drop_shadow_record(atms, shadow)
-            if thread.shadow_activity is not None:
-                self._schedule_gc(atms, thread)
-
-        thread.handler.post_delayed(tick, self.config.gc_period_ms, label="gc-tick")
+    def _gc_tick(
+        self, atms: "ActivityTaskManagerService", thread: "ActivityThread"
+    ) -> None:
+        self._gc_scheduled.discard(thread.process.name)
+        if not thread.process.alive:
+            return
+        shadow = thread.shadow_activity
+        assert self.gc is not None
+        decision = self.gc.check(thread)
+        if decision is GcDecision.COLLECTED and shadow is not None:
+            self._drop_shadow_record(atms, shadow)
+        if thread.shadow_activity is not None:
+            self._schedule_gc(atms, thread)

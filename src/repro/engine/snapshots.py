@@ -8,16 +8,15 @@ tier for groups inside one process; optional disk tier under
 ``.repro-cache/snapshots/`` so a later process — or a sweep over *new*
 divergent values whose results are uncached — still skips the prefix.
 
-Disk entries embed the interpreter version in the directory name:
-snapshot payloads contain ``marshal``-serialised code objects, which are
-only readable by the exact Python that wrote them.  As with the result
-cache, anything unreadable is a miss, never an error.
+Disk entries live under ``v<SNAPSHOT_FORMAT_VERSION>/``.  Payloads are
+stock pickle with no code objects, so every supported interpreter shares
+one store.  As with the result cache, anything unreadable is a miss,
+never an error.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,8 +89,8 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def _path(self, key: str) -> Path:
         assert self.root is not None
-        tag = f"v{SNAPSHOT_FORMAT_VERSION}-py{sys.version_info[0]}{sys.version_info[1]}"
-        return self.root / tag / key[:2] / f"{key}.snap"
+        return (self.root / f"v{SNAPSHOT_FORMAT_VERSION}" / key[:2]
+                / f"{key}.snap")
 
     def _read_disk(self, key: str) -> SystemSnapshot | None:
         if self.root is None:

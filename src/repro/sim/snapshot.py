@@ -11,16 +11,13 @@ simulation of prefix + suffix would (``tests/sim/test_snapshot.py`` pins
 this for all three policies, with and without tracing, including a fork
 taken mid-async-task).
 
-Why custom pickling instead of ``copy.deepcopy``: the event queue holds
-*closures* (a looper message's dispatch lambda, an AsyncTask's completion,
-the GC tick).  ``deepcopy`` treats function objects as atomic, so a copied
-event would still close over the *original* system's objects and a fork
-would mutate its parent.  This module extends pickle with a reducer for
-non-importable functions (marshalled code + rebuilt closure cells, the
-cloudpickle technique) so closures are captured as part of the object
-graph, with cell contents routed through function *state* — pickled after
-the function is memoised — which makes the ``message → event → lambda →
-message`` reference cycles in the queue safe.
+The capture is stock :mod:`pickle`.  Every callback that can be queued
+at a capture (a looper message's dispatch, an AsyncTask's completion,
+the process-death hook, the GC tick) is a bound method or a
+:func:`functools.partial` over an importable function, so pickle copies
+the objects it refers to along with it.  A lambda or nested function
+cannot be imported; :meth:`SystemSnapshot.capture` refuses one with a
+:class:`~repro.errors.SnapshotError` naming it.
 
 Two kinds of objects are deliberately **not** copied:
 
@@ -46,20 +43,16 @@ resolve against their own externals.
 
 Snapshots also serialise to disk (:meth:`SystemSnapshot.to_bytes` /
 :meth:`SystemSnapshot.from_bytes`); there the externals ride along by
-value.  The format embeds the interpreter's ``marshal`` version context
-implicitly — loaders must treat unreadable bytes as a cache miss, never
-an error (the engine's snapshot store does).
+value.  The bytes hold no code objects, so one interpreter reads what
+another wrote; loaders still treat unreadable bytes as a cache miss,
+never an error (the engine's snapshot store does).
 """
 
 from __future__ import annotations
 
 import contextvars
-import importlib
 import io
-import marshal
 import pickle
-import sys
-import types
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import SnapshotError
@@ -75,8 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: records are slotted classes, the RNG pickles its state as bytes, and
 #: the memory accountant carries running per-process totals.  Version
 #: 4: the recorder stores heap samples and busy intervals as columns, and
-#: a view's ``user_set_attrs`` may be the empty frozenset.
-SNAPSHOT_FORMAT_VERSION = 4
+#: a view's ``user_set_attrs`` may be the empty frozenset.  Version 5:
+#: stock pickle only; queued callbacks are bound methods and partials,
+#: no marshalled code objects.
+SNAPSHOT_FORMAT_VERSION = 5
 
 #: The externals of the :func:`loads` call in progress (per thread and
 #: per asyncio task, as context variables are).
@@ -90,90 +85,8 @@ def _external_ref(index: int) -> Any:
     return _LOAD_EXTERNALS.get()[index]
 
 
-# ----------------------------------------------------------------------
-# function / cell reducers
-# ----------------------------------------------------------------------
-def _is_importable(func: types.FunctionType) -> bool:
-    """Can normal pickle find this function by module + qualname?"""
-    if "<locals>" in func.__qualname__ or func.__name__ == "<lambda>":
-        return False
-    module = sys.modules.get(func.__module__)
-    if module is None:
-        return False
-    target: Any = module
-    try:
-        for part in func.__qualname__.split("."):
-            target = getattr(target, part)
-    except AttributeError:
-        return False
-    return target is func
-
-
-def _restore_function(code_bytes: bytes, module_name: str, closure: tuple):
-    code = marshal.loads(code_bytes)
-    module = importlib.import_module(module_name)
-    return types.FunctionType(
-        code, module.__dict__, code.co_name, None, closure or None
-    )
-
-
-def _apply_function_state(func: types.FunctionType, state: tuple) -> None:
-    cell_contents, defaults, kwdefaults, func_dict = state
-    for cell, (filled, value) in zip(func.__closure__ or (), cell_contents):
-        if filled:
-            cell.cell_contents = value
-    func.__defaults__ = defaults
-    func.__kwdefaults__ = kwdefaults
-    if func_dict:
-        func.__dict__.update(func_dict)
-
-
-def _reduce_function(func: types.FunctionType):
-    """Marshal the code object; rebuild globals from the module registry.
-
-    Closure *cells* travel in the constructor args (so cells shared
-    between two closures stay shared through the memo), but their
-    *contents* travel in the state tuple — applied after the function is
-    memoised, which is what breaks the queue's reference cycles.
-    """
-    closure = func.__closure__ or ()
-    contents = []
-    for cell in closure:
-        try:
-            contents.append((True, cell.cell_contents))
-        except ValueError:  # empty cell
-            contents.append((False, None))
-    state = (
-        tuple(contents),
-        func.__defaults__,
-        func.__kwdefaults__,
-        dict(func.__dict__),
-    )
-    return (
-        _restore_function,
-        (marshal.dumps(func.__code__), func.__module__, closure),
-        state,
-        None,
-        None,
-        _apply_function_state,
-    )
-
-
-def _make_cell() -> types.CellType:
-    return types.CellType()
-
-
-def _reduce_cell(cell: types.CellType):
-    """Cells are created empty; contents arrive via function state.
-
-    (``types.CellType`` itself has no importable qualname — ``builtins``
-    does not export ``cell`` — hence the module-level factory.)
-    """
-    return (_make_cell, ())
-
-
 class _SnapshotPickler(pickle.Pickler):
-    """Pickler that captures closures and externalises shared inputs."""
+    """Stock pickler that externalises shared inputs."""
 
     def __init__(self, file, externals: Sequence[Any] = ()):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
@@ -187,10 +100,6 @@ class _SnapshotPickler(pickle.Pickler):
             return _external_ref, (entry[0],)
         if obj is NULL_TRACER:
             return "NULL_TRACER"  # a module global of repro.trace.tracer
-        if isinstance(obj, types.CellType):
-            return _reduce_cell(obj)
-        if isinstance(obj, types.FunctionType) and not _is_importable(obj):
-            return _reduce_function(obj)
         return NotImplemented
 
 
@@ -262,7 +171,9 @@ class SystemSnapshot:
         saved_history = recorder.swap_history() if trim_history else None
         try:
             payload = dumps(system, externals)
-        except (pickle.PicklingError, TypeError, ValueError) as exc:
+        except (
+            pickle.PicklingError, AttributeError, TypeError, ValueError
+        ) as exc:
             raise SnapshotError(f"cannot capture system: {exc}") from exc
         finally:
             if saved_history is not None:

@@ -20,6 +20,7 @@ asynchronous task injection, time passage, and metric queries.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.android.res import DEFAULT_LANDSCAPE, Configuration
@@ -159,15 +160,9 @@ class AndroidSystem:
             raise ValueError(f"{app.package} declares no async script")
         activity = self._require_foreground(app)
         looper = self.atms.thread_of(app.package).looper
-
-        def on_post_execute() -> None:
-            for view_id, attr, value in chosen.updates:
-                activity.require_view(view_id).set_attr(attr, value)
-            if chosen.shows_dialog:
-                activity.show_dialog(chosen.name)
-
         task = AsyncTask(
-            self.ctx, looper, chosen.duration_ms, on_post_execute,
+            self.ctx, looper, chosen.duration_ms,
+            partial(_post_execute, chosen, activity),
             label=chosen.name, cpu_fraction=chosen.cpu_fraction,
         )
         activity.async_tasks.append(task)
@@ -252,3 +247,12 @@ class AndroidSystem:
     @property
     def now_ms(self) -> float:
         return self.ctx.now_ms
+
+
+def _post_execute(script: "AsyncScript", activity: "Activity") -> None:
+    """An async script's UI-thread completion on the activity that
+    started it."""
+    for view_id, attr, value in script.updates:
+        activity.require_view(view_id).set_attr(attr, value)
+    if script.shows_dialog:
+        activity.show_dialog(script.name)

@@ -11,12 +11,14 @@ canonical writer replaced the build-then-dump pipeline.
 
 Prefix and template keys fold in the snapshot format version, so a
 format bump moves them on purpose.  The surface is pinned at the
-current version and, with the version patched back to 3, at the hash
-recorded under format 3: that one proves a bump left the canonical form
-itself where it was.
+current version and, with the version patched back to each earlier one,
+at the hash recorded under it: those prove a bump left the canonical
+form itself where it was.
 """
 
 import hashlib
+
+import pytest
 
 from repro.apps.appset27 import build_appset27
 from repro.apps.top100 import build_top100
@@ -29,12 +31,14 @@ from repro.serve.protocol import fleet_params_fingerprint
 from repro.sim.costs import DEFAULT_COSTS
 
 PINNED_KEY_SURFACE_SHA256 = (
-    "22165953be486d58623081ada8af6244428211965f624fb15defdb065b135a5c"
+    "dfb68abdb8901cbc19b863fbd007251304d32435274b92eb65f9089983c21a11"
 )
-#: The surface with ``SNAPSHOT_FORMAT_VERSION`` 3.
-FORMAT_3_KEY_SURFACE_SHA256 = (
-    "9b82ea1f8bb4fce07f1eef9b941de705d463b2b6794915ccbf422456449e019b"
-)
+#: The surface with ``SNAPSHOT_FORMAT_VERSION`` patched to an earlier
+#: version, as recorded while that version was current.
+OLD_FORMAT_KEY_SURFACE_SHA256 = {
+    3: "9b82ea1f8bb4fce07f1eef9b941de705d463b2b6794915ccbf422456449e019b",
+    4: "22165953be486d58623081ada8af6244428211965f624fb15defdb065b135a5c",
+}
 
 #: Three daemon fleet requests: all defaults, the CI smoke params, and
 #: one that sets every optional knob the fingerprint normalises.
@@ -74,9 +78,10 @@ def test_key_surface_is_pinned():
     assert _surface_sha256() == PINNED_KEY_SURFACE_SHA256
 
 
-def test_key_surface_at_format_3_is_unchanged(monkeypatch):
-    """Only the version moved the keys: at format 3 they are the keys
-    format 3 wrote."""
-    monkeypatch.setattr("repro.engine.batch.SNAPSHOT_FORMAT_VERSION", 3)
-    monkeypatch.setattr("repro.fleet.run.SNAPSHOT_FORMAT_VERSION", 3)
-    assert _surface_sha256() == FORMAT_3_KEY_SURFACE_SHA256
+@pytest.mark.parametrize("version", sorted(OLD_FORMAT_KEY_SURFACE_SHA256))
+def test_key_surface_at_old_format_is_unchanged(monkeypatch, version):
+    """Only the version moved the keys: at an earlier format they are
+    the keys that format wrote."""
+    monkeypatch.setattr("repro.engine.batch.SNAPSHOT_FORMAT_VERSION", version)
+    monkeypatch.setattr("repro.fleet.run.SNAPSHOT_FORMAT_VERSION", version)
+    assert _surface_sha256() == OLD_FORMAT_KEY_SURFACE_SHA256[version]

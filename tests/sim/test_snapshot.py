@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import types
+from functools import partial
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.harness.runner import (
     run_probe,
 )
 from repro.metrics import recorder as recorder_module
+from repro.metrics.export import run_to_dict
 from repro.metrics.memory import MemoryAccountant
 from repro.sim import snapshot as snapshot_module
 from repro.sim.costs import CostModel
@@ -43,6 +45,7 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.snapshot import SNAPSHOT_FORMAT_VERSION, SystemSnapshot
 from repro.system import AndroidSystem
 from repro.trace.tracer import NULL_TRACER, NullTracer, TraceSession
+from repro.workload.driver import kill_app_process
 
 POLICY_FACTORIES = {
     "android10": Android10Policy,
@@ -127,6 +130,108 @@ class TestForkEqualsFresh:
                  if isinstance(obj, external_types)]
         assert found
         assert all(id(obj) in allowed for obj in found)
+
+
+def _pending_labels(system: AndroidSystem) -> list[str]:
+    return sorted(event.label for _, _, event in system.ctx.scheduler._queue
+                  if not event.cancelled)
+
+
+def _observed(system: AndroidSystem, app) -> str:
+    """What a run left behind: recorder export, clock, tasks, slot."""
+    foreground = system.foreground_activity(app.package) is not None
+    return json.dumps({
+        "run": run_to_dict(system.ctx.recorder),
+        "now_ms": system.now_ms,
+        "events": system.ctx.scheduler.events_executed,
+        "tasks": [task.app.package for task in system.atms.stack.tasks],
+        "slot": (system.read_slot(app, "first_drawable")
+                 if foreground else None),
+    }, sort_keys=True)
+
+
+def _assert_fork_matches_fresh(policy, prepare, finish):
+    """Run ``prepare`` + ``finish`` once straight through and once with a
+    fork taken between them; both must leave the same state."""
+    app = make_benchmark_app(2)
+    fresh = AndroidSystem(policy=POLICY_FACTORIES[policy](), seed=0x5EED)
+    prepare(fresh, app)
+    finish(fresh, app)
+
+    live = AndroidSystem(policy=POLICY_FACTORIES[policy](), seed=0x5EED)
+    prepare(live, app)
+    forked = AndroidSystem.fork(live.snapshot())
+    finish(forked, app)
+    assert _observed(forked, app) == _observed(fresh, app)
+    return forked, app
+
+
+def _run_to_idle(system, app):
+    system.run_until_idle()
+
+
+class TestForkWithPendingCallback:
+    """Each kind of callback that can be pending at a capture runs in
+    the fork as it does in a fresh run."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+    def test_queued_looper_message(self, policy):
+        def prepare(system, app):
+            system.launch(app)
+            system.run_for(100.0)
+            handler = system.atms.thread_of(app.package).handler
+            handler.post_delayed(
+                partial(system.write_slot, app, "first_drawable", "queued"),
+                300.0, label="queued-write",
+            )
+            assert "looper:queued-write" in _pending_labels(system)
+
+        forked, app = _assert_fork_matches_fresh(policy, prepare, _run_to_idle)
+        assert forked.read_slot(app, "first_drawable") == "queued"
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+    def test_async_post_execute(self, policy):
+        """Captured after the task finished its background work but
+        before its completion ran on the UI thread."""
+        def prepare(system, app):
+            system.launch(app)
+            task = system.start_async(app)
+            system.rotate()
+            system.ctx.run_until(task.started_at_ms + task.duration_ms)
+            assert task.completed_at_ms is None
+            assert ("looper:post-execute:update-images"
+                    in _pending_labels(system))
+
+        forked, app = _assert_fork_matches_fresh(policy, prepare, _run_to_idle)
+        assert forked.crashed(app.package) == (policy == "android10")
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+    def test_process_death_hook(self, policy):
+        def prepare(system, app):
+            system.launch(app)
+            system.run_for(100.0)
+
+        def finish(system, app):
+            kill_app_process(system, app.package)
+            system.run_until_idle()
+
+        forked, app = _assert_fork_matches_fresh(policy, prepare, finish)
+        assert forked.atms.stack.find_task(app.package) is None
+
+    @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+    def test_rchdroid_gc_tick(self, policy):
+        def prepare(system, app):
+            system.launch(app)
+            system.rotate()
+            system.run_for(100.0)
+            assert (("looper:gc-tick" in _pending_labels(system))
+                    == (policy == "rchdroid"))
+
+        def finish(system, app):
+            system.run_for(20_000.0)
+            system.run_until_idle()
+
+        _assert_fork_matches_fresh(policy, prepare, finish)
 
 
 def _object_graph(root):
@@ -268,8 +373,8 @@ class TestFormatOneEntries:
         yield
         _reset_template_cache()
 
-    def test_format_is_four(self):
-        assert SNAPSHOT_FORMAT_VERSION == 4
+    def test_format_is_five(self):
+        assert SNAPSHOT_FORMAT_VERSION == 5
 
     def test_format_one_payload_cannot_restore_silently(self):
         live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
@@ -409,7 +514,29 @@ class TestDiskRoundTrip:
             SystemSnapshot.from_bytes(data[:40])
 
 
+def _nested_callback():
+    def callback() -> None:
+        pass
+
+    return callback
+
+
 class TestRefusals:
+    @pytest.mark.parametrize("make_callback, name", [
+        (lambda: (lambda: None), "<lambda>"),
+        (_nested_callback, "_nested_callback.<locals>.callback"),
+    ], ids=["lambda", "nested-function"])
+    def test_unimportable_callback_is_refused(self, make_callback, name):
+        """Stock pickle cannot import a lambda or a nested function, so
+        capture refuses a queue holding one, naming it."""
+        app = make_benchmark_app(1)
+        live = AndroidSystem(policy=RCHDroidPolicy(), seed=0x5EED)
+        live.launch(app)
+        handler = live.atms.thread_of(app.package).handler
+        handler.post_delayed(make_callback(), 100.0)
+        with pytest.raises(SnapshotError, match=name):
+            live.snapshot()
+
     def test_session_registered_tracer_cannot_snapshot(self):
         """Session tracers are observed externally; forking one would
         double-report spans, so capture refuses."""
