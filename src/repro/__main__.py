@@ -243,8 +243,7 @@ def fleet_command(args: list[str]) -> int:
                               or DEFAULT_CHECKPOINT_EVERY),
             collect_stats=opts["stats"],
         )
-        bugs = result.oracle is not None and result.oracle.simulator_bugs
-        return result.to_json(), format_fleet_report(result), int(bool(bugs))
+        return result.to_json(), format_fleet_report(result), result.exit_code
 
     return _run_job("fleet", opts, params, run_local)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 import weakref
 from collections import OrderedDict
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -371,7 +372,19 @@ def run_batch(
             try:
                 futures = [pool.submit(execute_call, payload)
                            for payload in payloads]
-                outputs = [future.result() for future in futures]
+                outputs = []
+                for index, future in enumerate(futures):
+                    try:
+                        outputs.append(future.result())
+                    except BrokenExecutor as error:
+                        first = requests[calls[index][0][0]]
+                        raise EngineError(
+                            f"a batch worker died with pool call "
+                            f"{index + 1} of {len(calls)} unfinished "
+                            f"({sum(map(len, calls[index]))} requests, "
+                            f"first {first.kind} {first.policy} "
+                            f"{first.app.package}): {error}"
+                        ) from error
             finally:
                 pool.shutdown()
         for call, output in zip(calls, outputs):

@@ -1,10 +1,10 @@
 """A worker pool whose lifetime is decoupled from one batch.
 
-The fleet executor spawns a ``ProcessPoolExecutor`` per run, and a
-pooled ``run_batch`` a :class:`PersistentPool` per call — correct, but
-each invocation pays the full pool-spawn tax and throws away whatever
-the workers had warmed up (per-process template caches, imported
-modules, built corpora).  The daemon (:mod:`repro.serve`) instead owns one
+A pooled ``run_batch`` or ``run_fleet`` spawns a :class:`PersistentPool`
+per call — correct, but each invocation pays the full pool-spawn tax
+and throws away whatever the workers had warmed up (per-process
+template caches, imported modules, built corpora).  The daemon
+(:mod:`repro.serve`) instead owns one
 :class:`PersistentPool` for its whole life: workers survive across
 jobs, so a second request touching the same cohort templates finds
 them already cached in worker memory.

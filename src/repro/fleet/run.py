@@ -22,14 +22,23 @@ Determinism across execution shapes is structural, not incidental:
   fold order irrelevant, which is also what makes work-stealing and
   checkpoint/resume byte-identical to a serial run.
 
-The executor is a **work-stealing pool**: shards are submitted
-individually (largest first, so a tail shard cannot strand a worker at
-the end of the run) through a bounded in-flight window, and each idle
-worker pulls the next shard off the shared queue.  With
+One coordinator, :class:`FleetPlan`, holds a run's shards, template
+keys and running fold; :func:`run_fleet` and the serve daemon both plan,
+dispatch and fold through it, and both ship a shard to a worker as the
+same task, :func:`_run_shard_task`.  ``run_fleet`` runs those tasks on
+a :class:`~repro.engine.pool.PersistentPool` it owns for the call (the
+pool ``run_batch`` and the daemon use) as a **work-stealing pool**:
+shards are submitted individually (largest first, so a tail shard
+cannot strand a worker at the end of the run) through a bounded
+in-flight window, and each idle worker pulls the next shard off the
+shared queue.  A host without usable multiprocessing gets the pool's
+thread fallback; a worker that dies mid-shard ends the run with a
+:class:`~repro.errors.FleetError` naming the shards in flight.  With
 ``checkpoint_path`` set, the coordinator periodically publishes the
 accumulators plus the completed shard-id set (atomic replace, see
-``fleet/checkpoint.py``); a killed run resumes from the last
-checkpoint and produces the byte-identical report.
+``fleet/checkpoint.py``), and once more before that error; a killed
+run resumes from the last checkpoint and produces the byte-identical
+report.
 
 Memory stays bounded by recycling: a shard worker materialises one
 device at a time, folds it into the shard accumulator, and drops it —
@@ -46,12 +55,15 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.engine.batch import POLICIES, _resolve_jobs
 from repro.engine.fingerprint import fingerprint
+from repro.engine.pool import PersistentPool
 from repro.engine.snapshots import SnapshotStore
 from repro.errors import FleetError
 from repro.fleet.aggregate import CohortAccumulator, OracleAccumulator
@@ -219,7 +231,8 @@ def build_template(spec: FleetSpec, cell_index: int) -> AndroidSystem:
 
 def capture_template(spec: FleetSpec, cell_index: int) -> SystemSnapshot:
     global _TEMPLATE_CAPTURES
-    _TEMPLATE_CAPTURES += 1
+    with _TEMPLATE_LOCK:
+        _TEMPLATE_CAPTURES += 1
     return SystemSnapshot.capture(
         build_template(spec, cell_index), trim_history=True
     )
@@ -239,6 +252,9 @@ _TEMPLATE_CACHE: dict[tuple[str, str], SystemSnapshot] = {}
 _TEMPLATE_DISK_READS = 0
 _TEMPLATE_REBUILDS = 0
 _TEMPLATE_CAPTURES = 0
+#: Guards the cache and the counters: on a pool's thread fallback, shard
+#: tasks share them.  Disk reads and captures run outside it.
+_TEMPLATE_LOCK = threading.Lock()
 
 
 def template_cache_stats() -> dict[str, int]:
@@ -254,6 +270,12 @@ def template_cache_stats() -> dict[str, int]:
         "rebuilds": _TEMPLATE_REBUILDS,
         "captures": _TEMPLATE_CAPTURES,
     }
+
+
+def _counters_since(before: dict[str, int]) -> dict[str, int]:
+    """This process's :func:`template_cache_stats` change since ``before``."""
+    return {key: value - before[key]
+            for key, value in template_cache_stats().items()}
 
 
 def _reset_template_cache() -> None:
@@ -287,23 +309,27 @@ def _load_worker_template(
     """
     global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS
     cache_key = (str(root), key)
-    snap = _TEMPLATE_CACHE.get(cache_key)
-    if snap is not None:
-        # Re-insert on hit so dict order stays LRU for the cap below.
-        _TEMPLATE_CACHE[cache_key] = _TEMPLATE_CACHE.pop(cache_key)
-        return snap
+    with _TEMPLATE_LOCK:
+        snap = _TEMPLATE_CACHE.pop(cache_key, None)
+        if snap is not None:
+            # Re-insert on hit so dict order stays LRU for the cap below.
+            _TEMPLATE_CACHE[cache_key] = snap
+            return snap
     store = SnapshotStore(root=root)
     snap = store._read_disk(key)
-    if snap is None:
+    rebuilt = snap is None
+    if rebuilt:
         snap = capture_template(spec, cell_index)
-        _TEMPLATE_REBUILDS += 1
         if persist:
             store.put(key, snap)
-    else:
-        _TEMPLATE_DISK_READS += 1
-    _TEMPLATE_CACHE[cache_key] = snap
-    while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_CAP:
-        _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
+    with _TEMPLATE_LOCK:
+        if rebuilt:
+            _TEMPLATE_REBUILDS += 1
+        else:
+            _TEMPLATE_DISK_READS += 1
+        _TEMPLATE_CACHE[cache_key] = snap
+        while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_CAP:
+            _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
     return snap
 
 
@@ -348,8 +374,9 @@ class ShardOutcome:
     cohort: CohortAccumulator
     oracle: OracleAccumulator | None = None
     stats: dict | None = None
-    """Worker-cumulative :func:`template_cache_stats` (plus ``pid``),
-    attached only when the run collects stats."""
+    """The running process's :func:`template_cache_stats` change over
+    the task, plus its ``pid``; set by :func:`_run_shard_task`, so only
+    on shards that ran as pool tasks."""
 
 
 def member_workload(spec: FleetSpec, member: int) -> Workload:
@@ -426,13 +453,15 @@ def _run_shard(
 
 
 def _run_shard_task(payload) -> ShardOutcome:
-    """Self-contained shard body: templates via the per-process cache.
+    """The pool task body of :func:`run_fleet` and the serve daemon.
 
-    ``payload`` is ``(spec, shard, root, key, oracle_keys)`` — kept as
-    the spec-carrying entry point for tests and for the serve daemon's
-    persistent workers.
+    ``payload`` is :meth:`FleetPlan.payload`'s ``(spec, shard, root,
+    key, oracle_keys)``; templates come through the per-process cache.
+    The outcome carries this process's counter change over the task and
+    its pid, for ``--stats``.
     """
     spec, shard, root, key, oracle_keys = payload
+    before = template_cache_stats()
     template = _load_worker_template(root, key, spec, shard.cell_index)
     oracle_templates = None
     if oracle_keys:
@@ -440,42 +469,8 @@ def _run_shard_task(payload) -> ShardOutcome:
             policy: _load_worker_template(root, pol_key, spec, cell_index)
             for policy, (cell_index, pol_key) in oracle_keys.items()
         }
-    return _run_shard(spec, shard, template, oracle_templates)
-
-
-# ----------------------------------------------------------------------
-# the work-stealing pool: initializer-carried run state, per-shard tasks
-# ----------------------------------------------------------------------
-# One FleetSpec pickle per worker (via the pool initializer), not one
-# per task — at ~31k shards for a million-device fleet, spec-carrying
-# payloads would serialise the spec thousands of times over.
-_WORKER_SPEC: FleetSpec | None = None
-_WORKER_ROOT: str | None = None
-_WORKER_COLLECT_STATS = False
-
-
-def _fleet_worker_init(
-    spec: FleetSpec, root: str, collect_stats: bool
-) -> None:
-    global _WORKER_SPEC, _WORKER_ROOT, _WORKER_COLLECT_STATS
-    # Forked workers inherit the coordinator's counters; zero them so a
-    # worker's stats report covers exactly its own work.
-    _reset_template_cache()
-    _WORKER_SPEC = spec
-    _WORKER_ROOT = root
-    _WORKER_COLLECT_STATS = collect_stats
-
-
-def _run_shard_entry(task) -> ShardOutcome:
-    """Pool task body: ``(shard, key, oracle_keys)`` against init state."""
-    shard, key, oracle_keys = task
-    spec = _WORKER_SPEC
-    assert spec is not None and _WORKER_ROOT is not None
-    outcome = _run_shard_task(
-        (spec, shard, _WORKER_ROOT, key, oracle_keys)
-    )
-    if _WORKER_COLLECT_STATS:
-        outcome.stats = {"pid": os.getpid(), **template_cache_stats()}
+    outcome = _run_shard(spec, shard, template, oracle_templates)
+    outcome.stats = {"pid": os.getpid(), **_counters_since(before)}
     return outcome
 
 
@@ -551,6 +546,11 @@ class FleetResult:
         return json.dumps(self.report(), sort_keys=True,
                           separators=(",", ":"))
 
+    @property
+    def exit_code(self) -> int:
+        """1 if the sampled oracle found a SIMULATOR_BUG, else 0."""
+        return int(self.oracle is not None and self.oracle.simulator_bugs > 0)
+
 
 def merge_fleet_results(first: FleetResult, second: FleetResult) -> FleetResult:
     """Combine two partial runs of the *same* fleet (resume support).
@@ -595,6 +595,157 @@ def merge_fleet_results(first: FleetResult, second: FleetResult) -> FleetResult:
 
 
 # ----------------------------------------------------------------------
+# the coordinator: one plan-and-fold for run_fleet and the serve daemon
+# ----------------------------------------------------------------------
+class FleetPlan:
+    """One fleet run's plan and running fold.
+
+    Holds the shards still to fold (``pending``), the oracle-cell map of
+    the shards that run oracle sessions (they fork *every* policy's
+    template of their app), the template key of each cell those shards
+    need, and the integer-exact accumulators with the ``completed`` and
+    ``devices`` counts.  :func:`run_fleet` and the serve daemon both
+    build a run's pool tasks with :meth:`payload`, fold outcomes with
+    :meth:`fold` and report with :meth:`result`.
+
+    ``checkpoint_path`` seeds the fold from a checkpoint of the same
+    spec (see :func:`run_fleet`) and republishes it every
+    ``checkpoint_every`` folds and on :meth:`flush`.
+    """
+
+    def __init__(
+        self,
+        spec: FleetSpec,
+        shard_ids: Sequence[int] | None = None,
+        checkpoint_path: str | None = None,
+        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    ):
+        shards = plan_shards(spec)
+        self.spec = spec
+        self.total_shards = len(shards)
+        if shard_ids is not None:
+            if checkpoint_path is not None:
+                raise FleetError(
+                    "checkpoint_path requires a full run; it cannot track "
+                    "an explicit shard_ids subset"
+                )
+            wanted = set(shard_ids)
+            unknown = wanted - {shard.shard_id for shard in shards}
+            if unknown:
+                raise FleetError(f"unknown shard ids {sorted(unknown)}")
+            shards = [s for s in shards if s.shard_id in wanted]
+        self.cohorts = [CohortAccumulator(app.package, policy)
+                        for app, policy in spec.cells()]
+        self.oracle: OracleAccumulator | None = None
+        self.completed: set[int] = set()
+        self.devices = 0
+        self.checkpoint_path = checkpoint_path
+        self.checkpoint_every = checkpoint_every
+        self._spec_fp = ""
+        self._unsaved = 0
+        if checkpoint_path is not None:
+            self._spec_fp = fingerprint(spec)
+            resumed = load_checkpoint(checkpoint_path, self._spec_fp,
+                                      self.total_shards)
+            if resumed is not None:
+                self.cohorts = resumed.cohorts
+                self.oracle = resumed.oracle
+                self.completed = set(resumed.completed)
+                self.devices = resumed.devices
+        self.pending = {shard.shard_id: shard for shard in shards
+                        if shard.shard_id not in self.completed}
+        self.oracle_cells = {
+            shard_id: oracle_cell_indices(spec, shard)
+            for shard_id, shard in self.pending.items()
+            if oracle_members(spec, shard)
+        }
+        cells = {shard.cell_index for shard in self.pending.values()}
+        for mapping in self.oracle_cells.values():
+            cells.update(mapping.values())
+        self.keys = {cell: template_key(spec, cell) for cell in sorted(cells)}
+        #: pid -> summed counter changes of the pool tasks it ran.
+        self.worker_stats: dict[int, dict[str, int]] = {}
+
+    def payload(self, shard: Shard, root: str) -> tuple:
+        """:func:`_run_shard_task`'s argument for ``shard``, with its
+        templates read from the store at ``root``."""
+        oracle_keys = {
+            policy: (cell, self.keys[cell])
+            for policy, cell in self.oracle_cells.get(shard.shard_id,
+                                                      {}).items()
+        }
+        return (self.spec, shard, root, self.keys[shard.cell_index],
+                oracle_keys or None)
+
+    def fold(self, shard_id: int, outcome: ShardOutcome) -> None:
+        """Merge one pending shard's outcome, in any completion order."""
+        shard = self.pending.pop(shard_id)
+        self.cohorts[shard.cell_index].merge(outcome.cohort)
+        if outcome.oracle is not None:
+            if self.oracle is None:
+                self.oracle = OracleAccumulator()
+            self.oracle.merge(outcome.oracle)
+        self.completed.add(shard_id)
+        self.devices += shard.devices
+        if outcome.stats is not None:
+            stats = dict(outcome.stats)
+            totals = self.worker_stats.setdefault(stats.pop("pid"), {})
+            for key, value in stats.items():
+                totals[key] = totals.get(key, 0) + value
+        self._unsaved += 1
+        if self._unsaved >= self.checkpoint_every:
+            self.flush()
+
+    def flush(self) -> None:
+        """Publish the checkpoint if folds are unsaved or none exists."""
+        path = self.checkpoint_path
+        if path is None or (not self._unsaved and os.path.exists(path)):
+            return
+        save_checkpoint(path, FleetCheckpoint(
+            spec_fingerprint=self._spec_fp,
+            total_shards=self.total_shards,
+            completed=tuple(self.completed),
+            devices=self.devices,
+            cohorts=self.cohorts,
+            oracle=self.oracle,
+        ))
+        self._unsaved = 0
+
+    def result(self, stats_before: dict[str, int] | None = None) -> FleetResult:
+        """The fold so far as a :class:`FleetResult`.
+
+        ``stats_before`` (this process's :func:`template_cache_stats` at
+        the start of the run) adds ``cache_stats``: this process's
+        counter change plus every other process's task deltas.
+        """
+        cache_stats = None
+        if stats_before is not None:
+            cache_stats = _counters_since(stats_before)
+            cache_stats["workers"] = len(self.worker_stats)
+            for pid, stats in self.worker_stats.items():
+                if pid == os.getpid():
+                    # Tasks on the pool's thread fallback ran here;
+                    # their counts are already in this process's change.
+                    continue
+                for key, value in stats.items():
+                    cache_stats[key] += value
+        oracle = self.oracle
+        if oracle is None and self.spec.oracle_rate > 0.0:
+            oracle = OracleAccumulator()
+        return FleetResult(
+            seed=self.spec.seed,
+            shard_size=self.spec.shard_size,
+            total_shards=self.total_shards,
+            shard_ids=tuple(sorted(self.completed)),
+            devices=self.devices,
+            cohorts=self.cohorts,
+            oracle_rate=self.spec.oracle_rate,
+            oracle=oracle,
+            cache_stats=cache_stats,
+        )
+
+
+# ----------------------------------------------------------------------
 # the entry point
 # ----------------------------------------------------------------------
 def run_fleet(
@@ -626,249 +777,98 @@ def run_fleet(
     ``shard_ids`` subset (partial coverage would be recorded as fleet
     progress).
 
-    ``collect_stats`` attaches aggregated
-    template-provisioning counters as ``result.cache_stats`` (and a
-    ``"cache"`` report section).
+    ``collect_stats`` attaches the run's template-provisioning counters
+    (this process and every pool worker) as ``result.cache_stats`` (and
+    a ``"cache"`` report section).
     """
     from repro.engine.batch import _CONFIG
 
-    all_shards = plan_shards(spec)
-    if shard_ids is None:
-        shards = all_shards
+    stats_before = template_cache_stats() if collect_stats else None
+    plan = FleetPlan(spec, shard_ids, checkpoint_path, checkpoint_every)
+    todo = list(plan.pending.values())
+    workers = _resolve_jobs(_CONFIG.jobs if jobs is None else jobs,
+                            len(todo))
+    if workers > 1 and len(todo) > 1 and use_templates:
+        _run_sharded(plan, workers, snapshot_root)
     else:
-        if checkpoint_path is not None:
-            raise FleetError(
-                "checkpoint_path requires a full run; it cannot track an "
-                "explicit shard_ids subset"
-            )
-        wanted = set(shard_ids)
-        unknown = wanted - {shard.shard_id for shard in all_shards}
-        if unknown:
-            raise FleetError(f"unknown shard ids {sorted(unknown)}")
-        shards = [s for s in all_shards if s.shard_id in wanted]
-
-    # --- seed accumulators, possibly from a checkpoint -----------------
-    cohorts = [
-        CohortAccumulator(app.package, policy)
-        for app, policy in spec.cells()
-    ]
-    oracle: OracleAccumulator | None = None
-    completed: set[int] = set()
-    devices_done = 0
-    spec_fp = fingerprint(spec) if checkpoint_path is not None else ""
-    if checkpoint_path is not None:
-        resumed = load_checkpoint(checkpoint_path, spec_fp, len(all_shards))
-        if resumed is not None:
-            cohorts = resumed.cohorts
-            oracle = resumed.oracle
-            completed = set(resumed.completed)
-            devices_done = resumed.devices
-
-    folds_since_write = 0
-
-    def write_checkpoint() -> None:
-        save_checkpoint(checkpoint_path, FleetCheckpoint(
-            spec_fingerprint=spec_fp,
-            total_shards=len(all_shards),
-            completed=tuple(completed),
-            devices=devices_done,
-            cohorts=cohorts,
-            oracle=oracle,
-        ))
-
-    def fold(shard: Shard, outcome: ShardOutcome) -> None:
-        nonlocal oracle, devices_done, folds_since_write
-        cohorts[shard.cell_index].merge(outcome.cohort)
-        if outcome.oracle is not None:
-            if oracle is None:
-                oracle = OracleAccumulator()
-            oracle.merge(outcome.oracle)
-        completed.add(shard.shard_id)
-        devices_done += shard.devices
-        folds_since_write += 1
-        if checkpoint_path is not None \
-                and folds_since_write >= checkpoint_every:
-            write_checkpoint()
-            folds_since_write = 0
-
-    todo = [s for s in shards if s.shard_id not in completed]
-    worker_stats: dict[int, dict] = {}
-
-    if todo:
-        workers = _resolve_jobs(
-            _CONFIG.jobs if jobs is None else jobs, len(todo)
-        )
-        needed_cells = sorted({shard.cell_index for shard in todo})
-        # Shards that run oracle sessions fork *every* policy's template
-        # of their app, so those cells must be provisioned too.
-        oracle_cells: dict[int, dict[str, int]] = {}
-        for shard in todo:
-            if oracle_members(spec, shard):
-                oracle_cells[shard.shard_id] = \
-                    oracle_cell_indices(spec, shard)
-        all_cells = sorted(
-            set(needed_cells).union(
-                cell for mapping in oracle_cells.values()
-                for cell in mapping.values()
-            )
-        )
-
-        if workers <= 1 or len(todo) <= 1 or not use_templates:
-            # Serial bypass: a resolved jobs of 1 (explicit --jobs 1, or
-            # --jobs auto on a one-core host) skips the process pool
-            # entirely — no pool spawn, no per-task pickling.  BENCH_fleet.json's forced-pool `sharded` row
-            # shows why: on one core the pool costs more than it buys.
-            # With a snapshot_root the bypass still provisions templates
-            # through the store (memory -> disk -> rebuild-and-persist),
-            # so long-lived callers like the serve daemon stay warm
-            # across serial runs too.
-            templates: dict[int, SystemSnapshot | None] = {}
-            for cell_index in all_cells:
-                if not use_templates:
-                    templates[cell_index] = None
-                elif snapshot_root is not None:
-                    templates[cell_index] = _load_worker_template(
-                        snapshot_root, template_key(spec, cell_index),
-                        spec, cell_index, persist=True,
-                    )
-                else:
-                    templates[cell_index] = capture_template(
-                        spec, cell_index
-                    )
-            for shard in todo:
-                outcome = _run_shard(
-                    spec, shard, templates[shard.cell_index],
-                    {policy: templates[cell_index]
-                     for policy, cell_index
-                     in oracle_cells.get(shard.shard_id, {}).items()}
-                    or None,
+        # Serial bypass: a resolved jobs of 1 (explicit --jobs 1, or
+        # --jobs auto on a one-core host) skips the pool entirely — no
+        # pool spawn, no per-task pickling.  BENCH_fleet.json's
+        # forced-pool `sharded` row shows why: on one core the pool
+        # costs more than it buys.  With a snapshot_root the bypass
+        # still provisions templates through the store (memory -> disk
+        # -> rebuild-and-persist), so long-lived callers stay warm
+        # across serial runs too.
+        templates: dict[int, SystemSnapshot | None] = {}
+        for cell_index, key in plan.keys.items():
+            if not use_templates:
+                templates[cell_index] = None
+            elif snapshot_root is not None:
+                templates[cell_index] = _load_worker_template(
+                    snapshot_root, key, spec, cell_index, persist=True,
                 )
-                fold(shard, outcome)
-        else:
-            _run_sharded(
-                spec, todo, all_cells, oracle_cells, workers,
-                snapshot_root, collect_stats, fold, worker_stats,
-            )
-
-    if checkpoint_path is not None and (
-            folds_since_write or not os.path.exists(checkpoint_path)):
-        write_checkpoint()
-
-    if spec.oracle_rate > 0.0 and oracle is None:
-        oracle = OracleAccumulator()
-
-    cache_stats: dict | None = None
-    if collect_stats:
-        cache_stats = dict(template_cache_stats())
-        cache_stats["workers"] = len(worker_stats)
-        for pid, stats in worker_stats.items():
-            if pid == os.getpid():
-                # The pool-less fallback runs shards in-process; its
-                # counters are already in template_cache_stats().
-                continue
-            for key, value in stats.items():
-                if key != "pid":
-                    cache_stats[key] = cache_stats.get(key, 0) + value
-
-    return FleetResult(
-        seed=spec.seed,
-        shard_size=spec.shard_size,
-        total_shards=len(all_shards),
-        shard_ids=tuple(sorted(completed)),
-        devices=devices_done,
-        cohorts=cohorts,
-        oracle_rate=spec.oracle_rate,
-        oracle=oracle,
-        cache_stats=cache_stats,
-    )
+            else:
+                templates[cell_index] = capture_template(spec, cell_index)
+        for shard in todo:
+            oracle_templates = {
+                policy: templates[cell_index]
+                for policy, cell_index
+                in plan.oracle_cells.get(shard.shard_id, {}).items()
+            }
+            plan.fold(shard.shard_id, _run_shard(
+                spec, shard, templates[shard.cell_index],
+                oracle_templates or None,
+            ))
+    plan.flush()
+    return plan.result(stats_before)
 
 
-def _run_sharded(
-    spec: FleetSpec,
-    shards: list[Shard],
-    needed_cells: list[int],
-    oracle_cells: dict[int, dict[str, int]],
-    workers: int,
-    snapshot_root: str | None,
-    collect_stats: bool,
-    fold: Callable[[Shard, ShardOutcome], None],
-    worker_stats: dict[int, dict],
-) -> None:
-    """Work-steal shards across a process pool, folding on completion.
+def _run_sharded(plan: FleetPlan, workers: int,
+                 snapshot_root: str | None) -> None:
+    """Work-steal the plan's shards across a pool, folding on completion.
 
     Templates are published to the disk store, which each worker reads
     once per template into its process cache; each shard is its own pool
     task, submitted largest-first through a bounded in-flight
     window, so idle workers always pull the next undone shard and
-    ``fold`` (hence checkpointing) sees outcomes as they land.
+    ``plan.fold`` (hence checkpointing) sees outcomes as they land.
     """
     root = snapshot_root or tempfile.mkdtemp(prefix="repro-fleet-templates-")
-    cleanup = snapshot_root is None
+    pool = PersistentPool(workers)
     try:
         store = SnapshotStore(root=root)
-        keys: dict[int, str] = {}
-        for cell_index in needed_cells:
-            key = template_key(spec, cell_index)
-            keys[cell_index] = key
+        for cell_index, key in plan.keys.items():
             if store._read_disk(key) is None:
-                store.put(key, capture_template(spec, cell_index))
-
-        def oracle_keys(shard: Shard):
-            mapping = oracle_cells.get(shard.shard_id)
-            if not mapping:
-                return None
-            return {policy: (cell_index, keys[cell_index])
-                    for policy, cell_index in mapping.items()}
-
-        tasks = deque(
-            (shard, keys[shard.cell_index], oracle_keys(shard))
-            for shard in steal_order(shards)
-        )
-
-        def record(outcome: ShardOutcome) -> None:
-            if collect_stats and outcome.stats:
-                # Worker stats are cumulative: keep the last report per
-                # pid, sum across pids at the end.
-                worker_stats[outcome.stats["pid"]] = outcome.stats
-
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_fleet_worker_init,
-                initargs=(spec, root, collect_stats),
-            )
-        except (OSError, ValueError):  # no usable multiprocessing here
-            _fleet_worker_init(spec, root, collect_stats)
-            for task in tasks:
-                outcome = _run_shard_entry(task)
-                record(outcome)
-                fold(task[0], outcome)
-            return
-        with pool:
-            # The in-flight window bounds coordinator memory (pending
-            # futures, pickled results) without ever starving a worker:
-            # 4 tasks per worker in flight is refill headroom, and
-            # fold-on-completion keeps checkpoints fresh.
-            window = workers * 4
-            pending: dict = {}
-            while tasks or pending:
-                while tasks and len(pending) < window:
-                    task = tasks.popleft()
-                    pending[pool.submit(_run_shard_entry, task)] = task[0]
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    shard = pending.pop(future)
+                store.put(key, capture_template(plan.spec, cell_index))
+        # The in-flight window bounds coordinator memory (pending
+        # futures, pickled results) without ever starving a worker:
+        # 4 tasks per worker in flight is refill headroom, and
+        # fold-on-completion keeps checkpoints fresh.
+        window = workers * 4
+        todo = deque(steal_order(list(plan.pending.values())))
+        in_flight: dict = {}
+        while todo or in_flight:
+            while todo and len(in_flight) < window:
+                shard = todo.popleft()
+                in_flight[pool.submit(_run_shard_task,
+                                      plan.payload(shard, root))] = shard
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                shard = in_flight.pop(future)
+                try:
                     outcome = future.result()
-                    record(outcome)
-                    fold(shard, outcome)
+                except BrokenExecutor as error:
+                    plan.flush()
+                    lost = sorted(s.shard_id
+                                  for s in (shard, *in_flight.values()))
+                    raise FleetError(
+                        f"a fleet worker died with shards {lost} in "
+                        f"flight: {error}"
+                    ) from error
+                plan.fold(shard.shard_id, outcome)
     finally:
-        if cleanup:
+        pool.shutdown()
+        if snapshot_root is None:
             shutil.rmtree(root, ignore_errors=True)
 
 

@@ -23,8 +23,9 @@ minimal HTTP/1.1 + JSON-lines protocol:
 
 Scheduling is shard-granular and client-fair (``serve/queue.py``);
 results are byte-identical to the CLI by construction, because the
-spec builder, the shard executor, and the accumulators are the very
-same functions the CLI runs (``serve/protocol.py``, ``serve/tasks.py``).
+spec builder, the fleet coordinator (:class:`~repro.fleet.run.FleetPlan`)
+and the task bodies are the very same code the CLI runs
+(``serve/protocol.py``, ``serve/tasks.py``).
 
 The HTTP layer is deliberately hand-rolled on ``asyncio.start_server``:
 one request per connection, ``Connection: close`` everywhere, bodies
@@ -92,39 +93,6 @@ _BAD_REQUEST = (ServeError, FleetError, HuntError, OracleError,
                 WorkloadError)
 
 
-class _FleetState:
-    """Coordinator-side accumulation of one fleet job."""
-
-    def __init__(self, spec, shards, oracle_cells, keys):
-        from repro.fleet.aggregate import CohortAccumulator
-
-        self.spec = spec
-        self.shards = shards
-        self.oracle_cells = oracle_cells
-        self.keys = keys  # cell_index -> template key (all needed cells)
-        self.cohorts = [CohortAccumulator(app.package, policy)
-                        for app, policy in spec.cells()]
-        self.oracle = None
-        self.completed: set[int] = set()
-        self.devices = 0
-        self.captures_pending: set[int] = set()
-        self.folds_since_partial = 0
-
-    def partial_result(self):
-        from repro.fleet.run import FleetResult
-
-        return FleetResult(
-            seed=self.spec.seed,
-            shard_size=self.spec.shard_size,
-            total_shards=len(self.shards),
-            shard_ids=tuple(sorted(self.completed)),
-            devices=self.devices,
-            cohorts=self.cohorts,
-            oracle_rate=self.spec.oracle_rate,
-            oracle=self.oracle,
-        )
-
-
 class Daemon:
     """All daemon state plus the per-kind job drivers."""
 
@@ -185,110 +153,62 @@ class Daemon:
 
     # --- fleet ---------------------------------------------------------
     def _prepare_fleet(self, job: Job) -> None:
-        from repro.fleet.run import (
-            oracle_cell_indices,
-            oracle_members,
-            plan_shards,
-            template_key,
-        )
+        from repro.fleet.run import FleetPlan
 
-        spec = fleet_spec_from_params(job.params)
-        shards = plan_shards(spec)
-        oracle_cells = {
-            shard.shard_id: oracle_cell_indices(spec, shard)
-            for shard in shards if oracle_members(spec, shard)
-        }
-        all_cells = sorted(
-            {shard.cell_index for shard in shards}.union(
-                cell for mapping in oracle_cells.values()
-                for cell in mapping.values()
-            )
-        )
-        keys = {cell: template_key(spec, cell) for cell in all_cells}
-        state = _FleetState(spec, shards, oracle_cells, keys)
-        job.fleet = state
+        plan = FleetPlan(fleet_spec_from_params(job.params))
+        job.fleet = plan
 
         # Provision templates: the store (memory, then disk) or a
         # capture in the pool.  Shard units wait until every template
         # is stored, so a cold cell is built exactly once instead of
         # once per worker.
-        for cell_index, key in keys.items():
+        job.captures_pending = set()
+        for cell_index, key in plan.keys.items():
             if self.store.get(key) is not None:
                 continue
-            state.captures_pending.add(cell_index)
-            job.add_unit(tasks.capture_template_unit, (spec, cell_index),
+            job.captures_pending.add(cell_index)
+            job.add_unit(tasks.capture_template_unit,
+                         (plan.spec, cell_index),
                          tag=f"capture:{cell_index}")
-        job.emit("started", kind="fleet", shards=len(shards),
-                 devices=spec.total_devices,
-                 cold_templates=len(state.captures_pending))
-        if not state.captures_pending:
+        job.emit("started", kind="fleet", shards=plan.total_shards,
+                 devices=plan.spec.total_devices,
+                 cold_templates=len(job.captures_pending))
+        if not job.captures_pending:
             self._stage_fleet_shards(job)
 
     def _stage_fleet_shards(self, job: Job) -> None:
         """All templates stored: queue the shard units."""
         from repro.fleet.run import _run_shard_task, steal_order
 
-        state = job.fleet
-
-        def oracle_keys(shard):
-            mapping = state.oracle_cells.get(shard.shard_id)
-            if not mapping:
-                return None
-            return {policy: (cell, state.keys[cell])
-                    for policy, cell in mapping.items()}
-
-        for shard in steal_order(state.shards):
-            job.add_unit(
-                _run_shard_task,
-                (state.spec, shard, self.template_root,
-                 state.keys[shard.cell_index], oracle_keys(shard)),
-                tag=f"shard:{shard.shard_id}",
-            )
+        plan = job.fleet
+        for shard in steal_order(list(plan.pending.values())):
+            job.add_unit(_run_shard_task,
+                         plan.payload(shard, self.template_root),
+                         tag=f"shard:{shard.shard_id}")
         job.no_more_units = True
 
     def _fleet_result(self, job: Job, tag: str, result: Any) -> None:
-        state = job.fleet
-        if tag.startswith("capture:"):
-            cell_index = int(tag.split(":", 1)[1])
-            key = state.keys[cell_index]
-            self.store.put(key, result)
-            state.captures_pending.discard(cell_index)
-            if not state.captures_pending:
+        plan = job.fleet
+        kind, _, index = tag.partition(":")
+        if kind == "capture":
+            self.store.put(plan.keys[int(index)], result)
+            job.captures_pending.discard(int(index))
+            if not job.captures_pending:
                 self._stage_fleet_shards(job)
             return
-        shard_id = int(tag.split(":", 1)[1])
-        shard = state.shards[shard_id]
-        state.cohorts[shard.cell_index].merge(result.cohort)
-        if result.oracle is not None:
-            if state.oracle is None:
-                from repro.fleet.aggregate import OracleAccumulator
-
-                state.oracle = OracleAccumulator()
-            state.oracle.merge(result.oracle)
-        state.completed.add(shard_id)
-        state.devices += shard.devices
-        state.folds_since_partial += 1
-        done = len(state.completed) == len(state.shards)
-        if state.folds_since_partial >= self.stream_every and not done:
-            state.folds_since_partial = 0
-            partial = state.partial_result()
-            job.emit("partial", covered_shards=len(state.completed),
-                     devices=state.devices,
-                     report_json=partial.to_json())
+        plan.fold(int(index), result)
+        if plan.pending and len(plan.completed) % self.stream_every == 0:
+            job.emit("partial", covered_shards=len(plan.completed),
+                     devices=plan.devices,
+                     report_json=plan.result().to_json())
 
     def _finalize_fleet(self, job: Job) -> None:
-        from repro.fleet.aggregate import OracleAccumulator
-
-        state = job.fleet
-        if state.spec.oracle_rate > 0.0 and state.oracle is None:
-            state.oracle = OracleAccumulator()
-        result = state.partial_result()
-        exit_code = 1 if (result.oracle is not None
-                          and result.oracle.simulator_bugs) else 0
+        plan = job.fleet
+        result = plan.result()
         job.result = result.to_json()
-        job.emit("done", covered_shards=len(state.completed),
-                 devices=state.devices, report_json=job.result,
-                 exit=exit_code)
+        job.emit("done", covered_shards=len(plan.completed),
+                 devices=plan.devices, report_json=job.result,
+                 exit=result.exit_code)
 
     # --- oracle and hunt: one unit, one canonical report ----------------
     def _prepare_oracle(self, job: Job) -> None:

@@ -3,9 +3,10 @@
 Template captures, oracle sessions and hunts are each one call to a
 module-level function here (the ``concurrent.futures`` pickling
 contract).  The other units need no body of their own: a fleet shard
-is the fleet executor's own spec-carrying entry point
-(:func:`repro.fleet.run._run_shard_task` — the same code a CLI run
-executes, so outcomes fold byte-identically), and an experiment unit is
+is :func:`repro.fleet.run._run_shard_task`, the task a pooled
+``run_fleet`` submits too, with its payload from the same
+:class:`~repro.fleet.run.FleetPlan` that folds its outcome on both
+sides, so the reports are byte-identical; and an experiment unit is
 one call planned by :func:`repro.engine.batch.plan_calls`, run by the
 batch engine's own pool-call body, :func:`repro.engine.batch.execute_call`.
 Because the workers outlive any one job, the per-process template

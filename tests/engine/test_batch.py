@@ -1,7 +1,9 @@
 """run_batch / run_policy_matrix: ordering, parallelism, cache wiring."""
 
 import json
+import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -92,6 +94,26 @@ class TestParallel:
 
     def test_empty_batch(self):
         assert run_batch([], jobs=4) == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the patched unit body reaches workers by fork",
+)
+class TestDeadWorker:
+    def test_raises_engine_error_naming_the_call(self, monkeypatch):
+        coordinator = os.getpid()
+        real_unit = batch_module._execute_unit
+
+        def killing_unit(unit_requests, store, verify):
+            if os.getpid() != coordinator:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_unit(unit_requests, store, verify)
+
+        monkeypatch.setattr(batch_module, "_execute_unit", killing_unit)
+        with pytest.raises(EngineError,
+                           match=r"batch worker died with pool call 1 of"):
+            run_batch(_requests(4), jobs=2, cache=False)
 
 
 class TestCacheWiring:

@@ -1,8 +1,10 @@
-"""Daemon dispatch: experiment jobs, the pipelined pool, the job bound.
+"""Daemon dispatch: experiment and fleet jobs, the pipelined pool, the
+job bound.
 
 The daemon keeps ``UNITS_PER_WORKER`` units per worker in the pool (one
 running, one queued), so these tests pin what that must not change:
-experiment digests equal the in-process batch, the window never grows
+experiment digests equal the in-process batch, faulted and
+oracle-sampled fleet reports equal ``run_fleet``, the window never grows
 past its bound, a cancel with a queued unit folds nothing and leaves
 the daemon usable, and a pool future that comes back cancelled neither
 hangs its job nor stalls the pump.  The last class pins the bound on
@@ -12,6 +14,7 @@ remembered terminal jobs.
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import Future
 
 import pytest
@@ -144,6 +147,49 @@ class TestExperimentJobs:
             assert len(daemon.cache) == 0
         finally:
             daemon.shutdown()
+
+
+FAULTED_FLEET = {"devices": 36, "faults": 0.25, "oracle": 0.5,
+                 "shard_size": 2, "seed": SEED}
+# At this rate the oracle samples none of the 4 members per cell.
+UNSAMPLED_FLEET = {**FAULTED_FLEET, "oracle": 0.01}
+
+
+class TestFleetJobsMatchTheCli:
+    """The daemon folds a fleet's shards as ``run_fleet`` does: the
+    final report of a cold and of a warm job equals the serial bytes,
+    with faults on, with oracle sessions, and with an oracle rate that
+    samples no member."""
+
+    @pytest.mark.parametrize("params", [FAULTED_FLEET, UNSAMPLED_FLEET],
+                             ids=["sampled", "unsampled"])
+    def test_report_json_equals_run_fleet(self, tmp_path, params):
+        expected = run_fleet(fleet_spec_from_params(params),
+                             jobs=1).to_json()
+        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+
+        async def run():
+            jobs = []
+            for _ in range(2):  # cold templates, then warm
+                job = daemon.submit("fleet", params, "tests")
+                await _wait(job)
+                jobs.append(job)
+            return jobs
+
+        try:
+            jobs = asyncio.run(run())
+        finally:
+            daemon.shutdown()
+        for job in jobs:
+            done = job.events[-1]
+            assert done["event"] == "done" and done["exit"] == 0
+            assert done["report_json"] == expected
+            partials = [event["covered_shards"] for event in job.events
+                        if event["event"] == "partial"]
+            assert partials == sorted(set(partials))
+            assert partials and partials[-1] < done["covered_shards"] == 18
+        sessions = json.loads(expected)["oracle"]["sessions"]
+        assert (sessions > 0) == (params["oracle"] == 0.5)
 
 
 class _StubPool:
