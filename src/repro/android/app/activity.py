@@ -269,7 +269,7 @@ class Activity:
             return {}
         return {
             view.view_id: view
-            for view in self.decor.iter_tree()
+            for view in self.decor.preorder()
             if view.view_id is not None
         }
 
@@ -282,7 +282,7 @@ class Activity:
         mapped = 0
         if self.decor is None:
             return mapped
-        for view in self.decor.iter_tree():
+        for view in self.decor.preorder():
             if view.view_id is not None and view.view_id in sunny_by_id:
                 view.sunny_peer = sunny_by_id[view.view_id]
                 sunny_by_id[view.view_id].sunny_peer = view

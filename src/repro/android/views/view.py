@@ -63,13 +63,21 @@ class View:
     """A leaf has no children; :class:`ViewGroup` shadows this with a
     per-instance list, so tree walks need no type test per view."""
 
-    def __init__(self, ctx: "SimContext", view_id: int | None = None):
+    def __init__(
+        self,
+        ctx: "SimContext",
+        view_id: int | None = None,
+        memory_key: int | None = None,
+    ):
         self.ctx = ctx
         self.view_id = view_id
-        self.memory_key = ctx.next_id("view-mem")
+        self.memory_key = (
+            ctx.next_id("view-mem") if memory_key is None else memory_key
+        )
         """Stable per-context identity for the memory ledger.  A CPython
         ``id()`` would change across snapshot/restore, so a forked system
-        would free a different ledger entry than it allocated."""
+        would free a different ledger entry than it allocated.  The
+        inflater reserves a tree's keys as one block and passes each in."""
         self.parent: "ViewGroup | None" = None
         self.owner: "Activity | None" = None
         self.alive = True
@@ -97,7 +105,7 @@ class View:
     def attach(self, owner: "Activity") -> None:
         """Bind this view and its descendants to an owning activity,
         registering each one's memory footprint in preorder."""
-        bind_views(list(self.iter_tree()), owner)
+        bind_views(self.preorder(), owner)
 
     def destroy(self) -> None:
         """Tombstone this view and its descendants, children before
@@ -195,6 +203,11 @@ class View:
             if view.children:
                 push(reversed(view.children))
 
+    def preorder(self) -> "list[View]":
+        """This view and its descendants in preorder, as a list.  A
+        :class:`DecorView` caches it; callers must not mutate it."""
+        return list(self.iter_tree())
+
     def count_views(self) -> int:
         count = 0
         stack: list[View] = [self]
@@ -251,11 +264,11 @@ class View:
     # RCHDroid state dispatch (ViewGroup patch, Table 2)
     # ------------------------------------------------------------------
     def dispatch_shadow_state_changed(self, shadow: bool) -> None:
-        for view in self.iter_tree():
+        for view in self.preorder():
             view.shadow_state = shadow
 
     def dispatch_sunny_state_changed(self, sunny: bool) -> None:
-        for view in self.iter_tree():
+        for view in self.preorder():
             view.sunny_state = sunny
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -270,37 +283,112 @@ class ViewGroup(View):
 
     view_type = "ViewGroup"
 
-    def __init__(self, ctx: "SimContext", view_id: int | None = None):
-        super().__init__(ctx, view_id)
+    def __init__(
+        self,
+        ctx: "SimContext",
+        view_id: int | None = None,
+        memory_key: int | None = None,
+    ):
+        super().__init__(ctx, view_id, memory_key)
         self.children: list[View] = []
 
     def add_child(self, child: View) -> None:
         child.parent = self
         self.children.append(child)
+        self._drop_tree_cache()
         if self.owner is not None:
             child.attach(self.owner)
 
     def remove_child(self, child: View) -> None:
         self.children.remove(child)
         child.parent = None
+        self._drop_tree_cache()
+
+    def _drop_tree_cache(self) -> None:
+        """Forget the cached preorder of the decor this group hangs
+        under (if any): the tree's shape just changed."""
+        root: View = self
+        while root.parent is not None:
+            root = root.parent
+        if isinstance(root, DecorView):
+            root.tree = None
 
     def save_state(self, out: Bundle, *, full: bool) -> None:
-        super().save_state(out, full=full)
-        for child in self.children:
-            child.save_state(out, full=full)
+        """The per-view save of every view of this subtree, in preorder."""
+        save = View.save_state
+        for view in self.preorder():
+            if view.user_set_attrs and view.view_id is not None:
+                save(view, out, full=full)
 
     def restore_state(self, saved: Bundle) -> None:
-        super().restore_state(saved)
-        for child in self.children:
-            child.restore_state(saved)
+        """Replay each ``view:<id>`` entry of ``saved`` onto the views of
+        this subtree carrying that id, in preorder: the ``set_attr`` calls
+        of the per-view restore in the same order, after one scan of the
+        bundle instead of one key lookup per view."""
+        by_id: dict[int, Bundle] = {}
+        for key, value in saved.items():
+            if key.startswith("view:") and isinstance(value, Bundle):
+                suffix = key[5:]
+                try:
+                    view_id = int(suffix)
+                except ValueError:
+                    continue
+                if str(view_id) == suffix:
+                    by_id[view_id] = value
+        if not by_id:
+            return
+        for view in self.preorder():
+            state = by_id.get(view.view_id)
+            if state is not None:
+                for attr in state.keys():
+                    view.set_attr(attr, state.get(attr), silent=True)
 
 
 class DecorView(ViewGroup):
-    """Root of an activity's view tree (Fig. 2(a))."""
+    """Root of an activity's view tree (Fig. 2(a)).
 
-    __slots__ = ()
+    Every whole-tree operation (counting, flag dispatch, state save and
+    restore, the essence mapping, the oracle's digest) runs over
+    :meth:`preorder`, a list the decor keeps until the tree's shape
+    changes.  ``inflate`` hands over the list it built the tree in;
+    ``add_child`` and ``remove_child`` anywhere below drop it, and the
+    next :meth:`preorder` rebuilds it.  ``destroy`` keeps its own walk.
+    """
+
+    __slots__ = ("tree",)
 
     view_type = "DecorView"
+
+    def __init__(
+        self,
+        ctx: "SimContext",
+        view_id: int | None = None,
+        memory_key: int | None = None,
+    ):
+        super().__init__(ctx, view_id, memory_key)
+        self.tree: list[View] | None = None
+        """The cached preorder, or ``None`` until the next walk."""
+
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        """The slots without the cache: a snapshot holds the tree once,
+        and its bytes do not depend on whether the cache was filled."""
+        state, slots = super().__getstate__()
+        slots.pop("tree", None)
+        return state, slots
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.tree = None
+
+    def preorder(self) -> list[View]:
+        tree = self.tree
+        if tree is None:
+            tree = self.tree = list(self.iter_tree())
+        return tree
+
+    def count_views(self) -> int:
+        return len(self.preorder())
 
 
 def _tombstone(views: "Iterator[View]") -> "Iterator[tuple[str, tuple]]":
@@ -319,7 +407,7 @@ def bind_views(views: Sequence[View], owner: "Activity") -> None:
     base_mb = owner.ctx.costs.view_base_mb
     for view in views:
         view.owner = owner
-    owner.ctx.memory.allocate_many(owner.process.name, (
+    owner.ctx.memory.allocate_many(owner.process.name, [
         (("view", view.memory_key), base_mb + view.MEMORY_EXTRA_MB)
         for view in views
-    ))
+    ])

@@ -48,8 +48,8 @@ class Button(TextView):
     __slots__ = ("on_click",)
     view_type = "Button"
 
-    def __init__(self, ctx, view_id=None):
-        super().__init__(ctx, view_id)
+    def __init__(self, ctx, view_id=None, memory_key=None):
+        super().__init__(ctx, view_id, memory_key)
         self.on_click = None
 
     def click(self) -> None:
@@ -138,9 +138,6 @@ class VideoView(View):
     view_type = "VideoView"
     MIGRATED_ATTRS = {"video_uri": "setVideoURI", "position_ms": "seekTo"}
     MEMORY_EXTRA_MB = 1.6
-
-    def set_video_uri(self, uri: str) -> None:
-        self.set_attr("video_uri", uri)
 
 
 class ProgressBar(View):

@@ -56,7 +56,7 @@ def build_essence_mapping(
     sunny_count = sunny.decor.count_views() if sunny.decor is not None else 0
     shadow_count = shadow.decor.count_views() if shadow.decor is not None else 0
     shadow_id_views = (
-        sum(1 for v in shadow.decor.iter_tree() if v.view_id is not None)
+        sum(1 for v in shadow.decor.preorder() if v.view_id is not None)
         if shadow.decor is not None
         else 0
     )

@@ -142,10 +142,6 @@ class MigrationEngine:
 
     # ------------------------------------------------------------------
     @property
-    def total_migrated_views(self) -> int:
-        return sum(batch.migrated_views for batch in self.batches)
-
-    @property
     def total_missed_views(self) -> int:
         return sum(batch.missed_views for batch in self.batches)
 

@@ -369,9 +369,12 @@ def fleet_resume_check(
         subprocess.run(base_cmd(uninterrupted), check=True, env=env,
                        capture_output=True, timeout=1800)
 
+        # The victim leads its own process group, so the SIGKILL takes
+        # its pool workers down with it instead of orphaning them.
         victim = subprocess.Popen(
             base_cmd(interrupted) + ckpt_args, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         deadline = time.monotonic() + 600
         while (not os.path.exists(ckpt) and victim.poll() is None
@@ -379,8 +382,9 @@ def fleet_resume_check(
             time.sleep(0.05)
         killed = victim.poll() is None
         if killed:
-            victim.send_signal(signal.SIGKILL)
+            os.killpg(victim.pid, signal.SIGKILL)
         victim.wait(timeout=60)
+        _await_group_exit(victim.pid, timeout_s=60)
 
         resume = subprocess.run(
             base_cmd(interrupted) + ckpt_args, env=env,
@@ -398,6 +402,18 @@ def fleet_resume_check(
             "resume_exit": resume.returncode,
             "identical": identical,
         }
+
+
+def _await_group_exit(pgid: int, *, timeout_s: float) -> None:
+    """Wait until no process of group ``pgid`` is left (the killed
+    members are reaped by their new parent, asynchronously)."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.02)
 
 
 def apply_rss_ceiling(max_rss_mb: int) -> None:

@@ -26,6 +26,7 @@ import importlib
 import sys
 
 from repro import engine
+from repro.errors import SimulationError
 from repro.harness.experiments import REGISTRY
 from repro.options import parse, usage
 
@@ -70,6 +71,12 @@ def main(argv: list[str]) -> int:
             )
             print(module.format_report(module.run()))
             print()
+    except SimulationError as error:
+        # A typed simulator failure (a batch worker that died, a
+        # snapshot that cannot be restored, ...) is a report, not a
+        # traceback.
+        print(f"error: {error}")
+        return 2
     finally:
         engine.restore(previous)
     return 0

@@ -3,8 +3,8 @@
 * :func:`fig9_trace` — the CPU/memory-over-time experiment of Fig. 9:
   benchmark app, first change, button touch (starts the AsyncTask),
   second change while the task is in flight, then the task returns.
-* :func:`scalability_sweep` — Fig. 10a/10b: handling time and async
-  migration time as the view count grows.
+* :func:`run_scalability` — one Fig. 10a/10b cell: handling time and
+  async migration time at one view count.
 * :func:`gc_stress` — Fig. 11: ten minutes of bursty rotations under a
   given ``THRESH_T``, reporting mean handling latency, CPU overhead and
   mean memory.
@@ -194,28 +194,6 @@ def run_scalability(
     system = AndroidSystem(policy=policy_factory(), costs=costs, seed=seed)
     prepare_scalability(system, app)
     return finish_scalability(system, app, variant=variant)
-
-
-def scalability_sweep(
-    view_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-) -> list[ScalabilityPoint]:
-    """Fig. 10a/10b: per view count, the three handling paths plus the
-    asynchronous view-tree migration time."""
-    from repro.baselines.android10 import Android10Policy
-
-    points: list[ScalabilityPoint] = []
-    for count in view_counts:
-        app = make_benchmark_app(count)
-        stock = run_scalability(Android10Policy, app, variant="stock")
-        paths = run_scalability(RCHDroidPolicy, app, variant="paths")
-        mig = run_scalability(RCHDroidPolicy, app, variant="migration")
-        points.append(
-            ScalabilityPoint(
-                count, stock.handling_ms, paths.handling_ms,
-                paths.init_ms, mig.migration_ms,
-            )
-        )
-    return points
 
 
 # ----------------------------------------------------------------------

@@ -48,14 +48,6 @@ class SessionResult:
     crashes: int = 0
     handling_total_ms: float = 0.0
 
-    @property
-    def incidents_per_hour(self) -> float:
-        return self.incidents  # sessions are one hour by default
-
-    @property
-    def incident_rate(self) -> float:
-        return self.incidents / self.rotations if self.rotations else 0.0
-
 
 def compile_usage(app, spec: UsageSpec, seed: int) -> Workload:
     """Compile one usage session to the shared IR (pure in its inputs).

@@ -121,13 +121,6 @@ class Rule:
                     stack.extend(spec.children)
         return False
 
-    @staticmethod
-    def first_slot(app: "AppSpec", storage: StorageKind) -> StateSlot | None:
-        for slot in app.slots:
-            if slot.storage is storage:
-                return slot
-        return None
-
 
 def _loss_ops(slot_index: int, guarded: bool) -> tuple[tuple, ...]:
     """Write the slot, optionally settle, then rotate and settle."""

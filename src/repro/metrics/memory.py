@@ -12,20 +12,30 @@ in traces.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.metrics.recorder import TraceRecorder
     from repro.sim.clock import VirtualClock
 
 
-def _fold(ledger: dict[Hashable, float]) -> float:
-    """``0 + mb1 + mb2 + ...`` in the ledger's insertion order."""
-    return reduce(add, ledger.values(), 0)
+if sys.version_info < (3, 12):
+    def _fold(ledger: dict[Hashable, float]) -> float:
+        """``0 + mb1 + mb2 + ...`` in the ledger's insertion order.
+
+        Before 3.12, ``sum()`` is exactly this fold (it adds left to
+        right in one C double, from the int ``0``) and takes a quarter
+        of the time of ``reduce``, which builds a float per step."""
+        return sum(ledger.values())
+else:
+    def _fold(ledger: dict[Hashable, float]) -> float:
+        """``0 + mb1 + mb2 + ...`` in the ledger's insertion order."""
+        return reduce(add, ledger.values(), 0)
 
 
 class MemoryAccountant:
@@ -36,8 +46,9 @@ class MemoryAccountant:
     addition ``total + mb`` and costs O(1).  The fold is defined exactly,
     not as "the sum": CPython 3.12's ``sum()`` of floats is compensated
     and can differ in the last bits from 3.11's plain left-to-right
-    addition, which made the heap series interpreter-dependent.  An
-    empty ledger totals the int ``0``.
+    addition, which made the heap series interpreter-dependent (before
+    3.12, ``sum()`` computes exactly the fold, and :func:`_fold` uses
+    it).  An empty ledger totals the int ``0``.
 
     Every change appends one heap sample to the recorder's columns.  A
     view tree registers and releases its views through
@@ -64,11 +75,28 @@ class MemoryAccountant:
         self.allocate_many(process, ((owner, mb),))
 
     def allocate_many(
-        self, process: str, entries: Iterable[tuple[Hashable, float]]
+        self, process: str, entries: Sequence[tuple[Hashable, float]]
     ) -> None:
-        """:meth:`allocate` each ``(owner, mb)`` of ``entries`` in order."""
+        """:meth:`allocate` each ``(owner, mb)`` of ``entries`` in order.
+
+        When every owner is new (to the ledger and within ``entries``),
+        nothing is replaced and the totals are the running left fold
+        from the current total: one ``dict.update`` and one
+        ``accumulate`` make them, as a fresh view tree's registration
+        does.
+        """
         ledger = self._ledgers[process]
         total = self._totals.get(process, 0)
+        added = dict(entries)
+        if len(added) == len(entries) and ledger.keys().isdisjoint(added):
+            if not added:
+                return
+            ledger.update(added)
+            totals = list(accumulate(added.values(), add, initial=total))
+            del totals[0]
+            self._totals[process] = totals[-1]
+            self._record(repeat(process, len(totals)), totals)
+            return
         totals = []
         for owner, mb in entries:
             replacing = owner in ledger

@@ -168,7 +168,7 @@ def capture_digest(
         view_shape = tuple(
             (type(view).__name__,
              "-" if view.view_id is None else str(view.view_id))
-            for view in activity.decor.iter_tree()
+            for view in activity.decor.preorder()
         )
         dialogs = tuple(activity.dialogs)
 

@@ -45,6 +45,18 @@ class SimContext:
         self._id_counters[namespace] = value
         return value
 
+    def peek_id(self, namespace: str, start: int = 1) -> int:
+        """The id the next :meth:`next_id` call would return, not taken."""
+        return self._id_counters.get(namespace, start - 1) + 1
+
+    def skip_ids(self, namespace: str, count: int, start: int = 1) -> None:
+        """Take the next ``count`` ids at once, leaving the counter where
+        ``count`` :meth:`next_id` calls would (untouched for 0)."""
+        if count:
+            self._id_counters[namespace] = (
+                self._id_counters.get(namespace, start - 1) + count
+            )
+
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------

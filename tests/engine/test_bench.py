@@ -1,6 +1,10 @@
 """bench-engine: report structure, acceptance checks, CLI parsing."""
 
 import json
+import os
+import subprocess
+
+import pytest
 
 from repro.engine import bench
 from repro.harness.requests import _REQUEST_BUILDERS
@@ -276,6 +280,28 @@ class TestCheckFleetReport:
     def test_format_flags_divergence(self):
         text = bench.format_fleet_report(_fleet_report(identical=False))
         assert "byte-identical to serial: NO" in text
+
+
+class TestResumeCheck:
+    def test_the_killed_run_leaves_no_process_behind(self, monkeypatch):
+        """The SIGKILLed coordinator's pool workers die with it: its
+        whole process group is gone once the check returns."""
+        started = []
+
+        class RecordingPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append((self, kwargs))
+
+        monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+        result = bench.fleet_resume_check(devices=600, jobs=2)
+        victims = [proc for proc, kwargs in started
+                   if kwargs.get("start_new_session")]
+        assert len(victims) == 1
+        assert result["killed_mid_run"]
+        assert result["identical"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(victims[0].pid, 0)
 
 
 class TestCliParsing:

@@ -110,3 +110,20 @@ class TestDeployment:
     def test_crossover_is_small(self):
         result = sec57_deployment.run()
         assert result.rchdroid_cheaper_beyond_apps <= 3
+
+
+def test_cli_reports_an_engine_error_without_a_traceback(monkeypatch, capsys):
+    from repro.errors import EngineError
+    from repro.harness.experiments.__main__ import main
+
+    def dead_worker(*args, **kwargs):
+        raise EngineError("a batch worker died with pool call 1 of 9 "
+                          "unfinished")
+
+    monkeypatch.setattr(fig10, "run_batch", dead_worker)
+    assert main(["fig10", "--no-cache", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "error: a batch worker died with pool call 1 of 9 unfinished\n"
+    )
+    assert "Traceback" not in captured.err

@@ -1,8 +1,13 @@
 """Unit tests for the memory accountant."""
 
-import pytest
+from functools import reduce
+from operator import add
 
-from repro.metrics.memory import MemoryAccountant
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.metrics.memory import MemoryAccountant, _fold
 from repro.metrics.recorder import TraceRecorder
 from repro.sim.clock import VirtualClock
 
@@ -67,3 +72,55 @@ def test_footprint_query(setup):
     memory.allocate("app", "a", 7.0)
     assert memory.footprint_mb("app", "a") == 7.0
     assert memory.footprint_mb("app", "missing") == 0.0
+
+
+mbs = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=-10, max_value=10),
+)
+
+
+@given(st.lists(mbs, max_size=60))
+def test_fold_is_the_exact_left_fold(values):
+    ledger = dict(enumerate(values))
+    expected = reduce(add, values, 0)
+    folded = _fold(ledger)
+    assert type(folded) is type(expected)
+    assert repr(folded) == repr(expected)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 12), mbs), max_size=12),
+    st.lists(st.tuples(st.integers(0, 12), mbs), max_size=30),
+)
+def test_allocate_many_matches_the_per_entry_reference(before, entries):
+    """Whether or not an owner repeats or is already in the ledger, one
+    ``allocate_many`` leaves the ledger, total and heap samples of the
+    per-entry rule: a new owner adds its footprint to the running total,
+    a replaced one refolds the whole ledger."""
+    recorder = TraceRecorder()
+    memory = MemoryAccountant(VirtualClock(), recorder)
+    for owner, mb in before:
+        memory.allocate("app", owner, mb)
+    samples = len(recorder.heap_mb)
+    memory.allocate_many("app", entries)
+
+    ledger = {}
+    total = 0
+    for owner, mb in before:
+        replacing = owner in ledger
+        ledger[owner] = mb
+        total = reduce(add, ledger.values(), 0) if replacing else total + mb
+    totals = []
+    for owner, mb in entries:
+        replacing = owner in ledger
+        ledger[owner] = mb
+        total = reduce(add, ledger.values(), 0) if replacing else total + mb
+        totals.append(total)
+
+    assert memory.owners("app") == list(ledger)
+    assert [repr(memory.footprint_mb("app", owner)) for owner in ledger] \
+        == [repr(mb) for mb in ledger.values()]
+    assert repr(memory.total_mb("app")) == repr(total)
+    assert [repr(mb) for mb in recorder.heap_mb[samples:]] == \
+        [repr(mb) for mb in totals]

@@ -278,3 +278,167 @@ def test_restored_view_records_its_first_runtime_attr():
     saved = Bundle()
     view.save_state(saved, full=True)
     assert saved.get_bundle(f"view:{view.view_id}").get("text") == "typed"
+
+
+# ----------------------------------------------------------------------
+# the decor's cached preorder
+# ----------------------------------------------------------------------
+from repro.android.views.view import View  # noqa: E402
+from repro.errors import NullPointerException  # noqa: E402
+
+FRAGMENT_CONTAINER = 50
+FRAGMENT_ID_BASE = 100
+
+
+def _fragment_app():
+    """A launched app whose main layout holds a fragment container, with
+    three one-group fragment layouts to attach into it."""
+    from repro.android.res import Orientation, ResourceTable
+    from repro.apps.dsl import AppSpec, simple_layout
+
+    table = ResourceTable()
+    main = simple_layout("main", [
+        ViewSpec("ViewGroup", view_id=FRAGMENT_CONTAINER),
+        ViewSpec("TextView", view_id=3),
+    ])
+    for orientation in (Orientation.PORTRAIT, Orientation.LANDSCAPE):
+        table.add_layout("main", main, orientation)
+        for frag in range(3):
+            table.add_layout(f"frag{frag}", LayoutSpec(f"frag{frag}", roots=[
+                ViewSpec("ViewGroup", view_id=FRAGMENT_ID_BASE + frag * 10,
+                         children=[ViewSpec(
+                             "TextView",
+                             view_id=FRAGMENT_ID_BASE + frag * 10 + 1,
+                         )]),
+            ]), orientation)
+    app = AppSpec(package="prop.fragments", label="Fragments",
+                  resources=table)
+    system = AndroidSystem()
+    system.launch(app)
+    return system
+
+
+def ref_save_state(view, out, full):
+    View.save_state(view, out, full=full)
+    for child in getattr(view, "children", ()):
+        ref_save_state(child, out, full)
+
+
+def ref_restore_state(view, saved):
+    View.restore_state(view, saved)
+    for child in getattr(view, "children", ()):
+        ref_restore_state(child, saved)
+
+
+def _bundle_items(bundle):
+    return [
+        (key, _bundle_items(value) if isinstance(value, Bundle) else value)
+        for key, value in bundle.items()
+    ]
+
+
+def _graft(activity, layout, target):
+    """Inflate ``layout`` and move its roots under ``target``, the way a
+    fragment attach does."""
+    carrier = inflate(activity.ctx, activity, layout)
+    for root in list(carrier.children):
+        carrier.remove_child(root)
+        target.add_child(root)
+    carrier.destroy()
+
+
+def _apply(system, op):
+    activity = system.foreground_activity()
+    tree = list(ref_iter_tree(activity.decor))
+    kind = op[0]
+    if kind == "add":
+        groups = [view for view in tree if isinstance(view, ViewGroup)]
+        _graft(activity, op[1], groups[op[2] % len(groups)])
+    elif kind == "remove" and len(tree) > 1:
+        view = tree[1 + op[1] % (len(tree) - 1)]
+        view.parent.remove_child(view)
+        view.destroy()
+    elif kind == "attach":
+        try:
+            activity.fragments.attach(f"f{op[1]}", f"frag{op[1]}",
+                                      FRAGMENT_CONTAINER)
+        except (NullPointerException, ValueError, TypeError):
+            pass  # container gone, taken by a leaf, or already attached
+    elif kind == "detach":
+        container = activity.find_view(FRAGMENT_CONTAINER)
+        if isinstance(container, ViewGroup):
+            try:
+                activity.fragments.detach(f"f{op[1]}")
+            except NullPointerException:
+                pass  # not attached
+    elif kind == "set":
+        with_ids = [view for view in tree if view.view_id is not None]
+        if with_ids:
+            with_ids[op[1] % len(with_ids)].set_attr("text", f"typed-{op[1]}")
+    elif kind == "fork":
+        return AndroidSystem.fork(system.snapshot())
+    return system
+
+
+def _check_cache(decor):
+    walk = list(decor.iter_tree())
+    assert walk == list(ref_iter_tree(decor))
+    assert decor.preorder() == walk
+    assert decor.count_views() == len(walk)
+    assert decor.preorder() is decor.preorder()
+
+
+tree_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), layouts, st.integers(0, 60)),
+    st.tuples(st.just("remove"), st.integers(0, 200)),
+    st.tuples(st.just("attach"), st.integers(0, 2)),
+    st.tuples(st.just("detach"), st.integers(0, 2)),
+    st.tuples(st.just("set"), st.integers(0, 200)),
+    st.tuples(st.just("fork")),
+), max_size=8)
+
+
+@given(layouts, tree_ops)
+@settings(max_examples=40, deadline=None)
+def test_cached_preorder_tracks_every_tree_change(layout, ops):
+    """The decor's cached preorder, its count, and its one-pass save and
+    restore agree with the recursive walks after any sequence of child
+    adds and removes, fragment attaches and detaches, and forks."""
+    system = _fragment_app()
+    activity = system.foreground_activity()
+    _graft(activity, layout, activity.decor)
+    _check_cache(activity.decor)
+    for op in ops:
+        system = _apply(system, op)
+        _check_cache(system.foreground_activity().decor)
+
+    decor = system.foreground_activity().decor
+    saved = {}
+    for full in (False, True):
+        flat, ref = Bundle(), Bundle()
+        decor.save_state(flat, full=full)
+        ref_save_state(decor, ref, full)
+        assert _bundle_items(flat) == _bundle_items(ref)
+        saved[full] = ref
+
+    # Replay a bundle whose view entries all carry new values, plus keys
+    # that only look like view entries, onto two identical forks.
+    replay = Bundle()
+    for key in [*(f"view:{v.view_id}" for v in decor.preorder()
+                  if v.view_id is not None), "view:07", "view:x", "other"]:
+        state = Bundle()
+        state.put("text", f"restored-{key}")
+        replay.put_bundle(key, state)
+    replay.put("view:9", "not a bundle")
+    snap = system.snapshot()
+    outcomes = []
+    for restore in (DecorView.restore_state, ref_restore_state):
+        fork = AndroidSystem.fork(snap).foreground_activity().decor
+        restore(fork, replay)
+        restore(fork, saved[True])
+        outcomes.append([
+            (view.view_id, view.attrs, sorted(view.user_set_attrs))
+            for view in ref_iter_tree(fork)
+        ])
+        _check_cache(fork)
+    assert outcomes[0] == outcomes[1]
