@@ -101,17 +101,17 @@ def main(argv: list[str]) -> int:
         from repro.engine.bench import main as bench_main
 
         return bench_main(argv[1:])
-    from repro.harness.experiments.__main__ import _MODULES
+    from repro.harness.experiments import EXPERIMENTS
     from repro.harness.experiments.__main__ import main as experiments_main
 
     if command == "experiments":
         return experiments_main([])
-    if command in _MODULES:
+    if command in EXPERIMENTS:
         return experiments_main(argv)
     return _unknown_command(
         command,
         ["demo", "experiments", "trace", "fleet", "oracle", "workload",
-         "hunt", "serve", "bench-engine", *_MODULES],
+         "hunt", "serve", "bench-engine", *EXPERIMENTS],
     )
 
 
@@ -483,13 +483,13 @@ def _workload_record(args: list[str]) -> int:
 def trace_command(args: list[str]) -> int:
     """Record a Chrome trace for ``demo`` or an experiment, then verify
     that re-running the same scenario replays the identical trace."""
-    from repro.harness.experiments.__main__ import _MODULES
+    from repro.harness.experiments import EXPERIMENTS
 
     opts = parse("trace", args)
     if isinstance(opts, int):
         return opts
     target = opts["target"]
-    targets = ["demo", *_MODULES]
+    targets = ["demo", *EXPERIMENTS]
     if target is None:
         print(usage("trace"))
         print("traceable targets: " + ", ".join(targets))
@@ -504,7 +504,10 @@ def trace_command(args: list[str]) -> int:
 
     def record() -> TraceSession:
         with TraceSession() as session:
-            _run_traced_target(target)
+            if target == "demo":
+                run_demo()
+            else:
+                EXPERIMENTS[target].run()
         return session
 
     session = record()
@@ -541,20 +544,6 @@ def trace_command(args: list[str]) -> int:
         f" {session.span_count()} spans exactly"
     )
     return 0
-
-
-def _run_traced_target(target: str) -> None:
-    if target == "demo":
-        run_demo()
-        return
-    import importlib
-
-    from repro.harness.experiments.__main__ import _MODULES
-
-    module = importlib.import_module(
-        f"repro.harness.experiments.{_MODULES[target]}"
-    )
-    module.run()
 
 
 def run_demo() -> None:  # pragma: no cover - thin CLI veneer

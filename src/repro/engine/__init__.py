@@ -26,9 +26,9 @@ from repro.engine.batch import (
     configure,
     default_cache,
     execute_request,
+    policy_matrix,
     restore,
     run_batch,
-    run_policy_matrix,
 )
 from repro.engine.cache import DEFAULT_CACHE_ROOT, CacheStats, ResultCache
 from repro.engine.codec import (
@@ -71,7 +71,7 @@ __all__ = [
     "execute_request",
     "experiment_digest",
     "fingerprint",
+    "policy_matrix",
     "restore",
     "run_batch",
-    "run_policy_matrix",
 ]

@@ -28,9 +28,8 @@ executable in any process.
   call runs in-process, so single-core hosts never pay the pool's
   serialisation overhead.
 
-:func:`run_policy_matrix` is the shared per-experiment loop ("for every
-app, measure every policy") that fig7/fig8/fig12/fig14/table3/table5
-previously each hand-rolled.
+:func:`policy_matrix` builds the request list ("every app under every
+policy") that fig7/fig8/fig12/fig14/table3/table5 submit.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from repro.trace.tracer import active_session
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.dsl import AppSpec
-    from repro.harness.runner import HandlingMeasurement, IssueVerdict
 
 #: Policies addressable by name in a :class:`RunRequest`.  Names are the
 #: policies' own ``.name`` attributes, which also appear in results.
@@ -335,10 +333,12 @@ def run_batch(
     store = _resolve_cache(cache)
     share = _CONFIG.snapshots if snapshots is None else snapshots
     verify = _CONFIG.verify_forks if verify_forks is None else verify_forks
-    if active_session() is not None:
-        # Session tracers are registered per system; a forked system
-        # would silently drop out of the session's report.  Sharing off
-        # keeps traced batches on the classic one-system-per-run path.
+    traced = active_session() is not None
+    if traced:
+        # Session tracers are registered per system, in this process: a
+        # forked system or one built in a pool worker would silently drop
+        # out of the session's report.  Traced batches run in-process on
+        # the classic one-system-per-run path.
         share = False
 
     results: list = [None] * len(requests)
@@ -360,7 +360,7 @@ def run_batch(
         snap_root = None
         if store is not None and store.root is not None:
             snap_root = str(store.root / "snapshots")
-        workers = _resolve_jobs(jobs, len(pending))
+        workers = 1 if traced else _resolve_jobs(jobs, len(pending))
         calls = plan_calls(requests, pending, workers, share)
         payloads = [(call_requests(requests, call), snap_root, verify)
                     for call in calls]
@@ -529,29 +529,18 @@ def _verify_sample(forked: list[int]) -> list[int]:
     return sorted(picks)
 
 
-def run_policy_matrix(
+def policy_matrix(
     apps: Sequence["AppSpec"],
     policies: Sequence[str],
     *,
     kind: str = KIND_HANDLING,
     seed: int = 0x5EED,
-    jobs: "int | str | None" = None,
-    cache: "bool | ResultCache | None" = None,
-    snapshots: bool | None = None,
-    verify_forks: bool | None = None,
-    **scenario_kwargs: Any,
-) -> "list[dict[str, HandlingMeasurement | IssueVerdict]]":
-    """Per app (in order), run every policy; returns one dict per app.
+) -> list[RunRequest]:
+    """Per app (in order), one request per policy (in order).
 
-    The shared form of the experiment loop fig7/fig8/fig12/fig14/
-    table3/table5 used to hand-roll serially.
+    The request list of the experiments that run every app under every
+    policy: fig7/fig8/fig12/fig14/table3/table5.
     """
-    kwargs = tuple(sorted(scenario_kwargs.items()))
-    requests = [
-        RunRequest(kind, policy, app, seed, kwargs)
-        for app in apps
-        for policy in policies
-    ]
-    results = iter(run_batch(requests, jobs=jobs, cache=cache,
-                             snapshots=snapshots, verify_forks=verify_forks))
-    return [{policy: next(results) for policy in policies} for _ in apps]
+    return [RunRequest(kind, policy, app, seed)
+            for app in apps
+            for policy in policies]

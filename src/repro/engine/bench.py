@@ -1,7 +1,8 @@
 """Wall-clock benchmark of the engine: serial vs parallel vs cached.
 
-Runs the request lists of real experiments (Fig. 14 and Table 5 by
-default — one handling matrix, one issue matrix) through
+Runs the request lists of engine-backed experiments
+(:data:`~repro.harness.experiments.ENGINE_EXPERIMENTS`; Fig. 14 and
+Table 5 by default — one handling matrix, one issue matrix) through
 :func:`~repro.engine.batch.run_batch` in five modes:
 
 * ``serial``            — jobs=1, no cache (the pre-engine behaviour);
@@ -11,8 +12,9 @@ default — one handling matrix, one issue matrix) through
 * ``cached_warm_disk``  — a fresh cache at the same root (tier-2 hits,
   the "new process next day" case).
 
-A sixth, ``snapshot``, mode runs a *prefix-heavy* sweep (a rotation-storm
-probe matrix whose cells differ only in audit delay) twice cold:
+A sixth, ``snapshot``, mode runs its own *prefix-heavy* sweep
+(:func:`probe_storm_requests`: a rotation-storm probe matrix whose cells
+differ only in audit delay, reported as ``probes``) twice cold:
 from-scratch vs prefix-shared, where each group prepares once, forks the
 rest from a device checkpoint, and (in the verified variant) re-runs a
 sample from scratch to assert byte-identity.
@@ -60,16 +62,18 @@ import tempfile
 import time
 from typing import Any, Callable, Sequence
 
-from repro.engine.batch import run_batch
+from repro.apps.benchmark import make_benchmark_app
+from repro.engine.batch import RunRequest, run_batch
 from repro.engine.cache import ResultCache
 from repro.engine.codec import canonical_result
-from repro.harness.requests import _REQUEST_BUILDERS
+from repro.harness.experiments import ENGINE_EXPERIMENTS
 from repro.options import parse
 
 DEFAULT_OUTPUT = "BENCH_engine.json"
 DEFAULT_FLEET_OUTPUT = "BENCH_fleet.json"
 DEFAULT_FLEET_DEVICES = 360
 DEFAULT_EXPERIMENTS = ("fig14", "table5")
+#: The snapshot mode's report key.
 SNAPSHOT_EXPERIMENT = "probes"
 
 #: Scaling-curve geometry: device counts per jobs value.  Each point is
@@ -94,11 +98,30 @@ def _timed(fn: Callable[[], list]) -> tuple[float, list]:
     return time.perf_counter() - start, results
 
 
+def probe_storm_requests(seed: int = 0x5EED) -> list[RunRequest]:
+    """The snapshot mode's sweep: 48 probes in two prefix groups of 24.
+
+    Prefix-heavy by design: per policy, two dozen audit delays share one
+    long rotation storm over a large view tree, so the group is one
+    prepare + twenty-three forks.  The delays stay below the benchmark
+    app's 5 s async completion so the divergent suffixes are cheap
+    observation windows, not a second workload.
+    """
+    app = make_benchmark_app(512)
+    delays = tuple(125.0 * step for step in range(1, 25))
+    return [
+        RunRequest.probe(policy, app, seed,
+                         storm_rotations=24, audit_delay_ms=delay)
+        for policy in ("runtimedroid", "rchdroid")
+        for delay in delays
+    ]
+
+
 def bench_experiment(
     name: str, *, jobs: int, seed: int = 0x5EED
 ) -> dict[str, Any]:
     """Benchmark one experiment's request list across all five modes."""
-    requests = _REQUEST_BUILDERS[name](seed)
+    requests = ENGINE_EXPERIMENTS[name].requests(seed)
 
     serial_s, serial = _timed(lambda: run_batch(requests, jobs=1, cache=False))
     golden = _canonical(serial)
@@ -148,17 +171,15 @@ def bench_experiment(
     }
 
 
-def bench_snapshot(
-    name: str = SNAPSHOT_EXPERIMENT, *, seed: int = 0x5EED
-) -> dict[str, Any]:
-    """Benchmark prefix-snapshot sharing on a prefix-heavy sweep.
+def bench_snapshot(*, seed: int = 0x5EED) -> dict[str, Any]:
+    """Benchmark prefix-snapshot sharing on :func:`probe_storm_requests`.
 
     All three runs are cold (no result cache): ``serial`` executes every
     cell from scratch, ``forked`` shares each group's prefix through a
     snapshot, ``forked_verified`` additionally re-runs a sample of the
     forked cells from scratch and compares.
     """
-    requests = _REQUEST_BUILDERS[name](seed)
+    requests = probe_storm_requests(seed)
     serial_s, serial = _timed(
         lambda: run_batch(requests, jobs=1, cache=False, snapshots=False))
     golden = _canonical(serial)
@@ -704,8 +725,7 @@ def run_bench(
             for name in experiments
         },
         "snapshot": {
-            SNAPSHOT_EXPERIMENT: bench_snapshot(SNAPSHOT_EXPERIMENT,
-                                                seed=seed),
+            SNAPSHOT_EXPERIMENT: bench_snapshot(seed=seed),
         },
     }
     report["ok"] = check_report(report) == []

@@ -22,24 +22,12 @@ Options (consumed anywhere on the line; declared in ``repro.options``):
 
 from __future__ import annotations
 
-import importlib
 import sys
 
 from repro import engine
 from repro.errors import SimulationError
-from repro.harness.experiments import REGISTRY
+from repro.harness.experiments import EXPERIMENTS
 from repro.options import parse, usage
-
-_MODULES = {
-    "table2": "table2", "table3": "table3", "table5": "table5",
-    "fig7": "fig7", "fig8": "fig8", "fig9": "fig9", "fig10": "fig10",
-    "fig11": "fig11", "fig12": "fig12", "fig13": "fig13", "fig14": "fig14",
-    "sec5.6-energy": "sec56_energy", "sec5.7-deployment": "sec57_deployment",
-    "ext-fleet": "ext_fleet",
-    "ext-fragments": "ext_fragments", "ext-oracle": "ext_oracle",
-    "ext-probes": "ext_probes",
-    "ext-robustness": "ext_robustness", "ext-sessions": "ext_sessions",
-}
 
 
 def main(argv: list[str]) -> int:
@@ -49,13 +37,14 @@ def main(argv: list[str]) -> int:
     keys = opts["experiment"]
     if not keys:
         print("available experiments:")
-        for key in REGISTRY:
+        for key in EXPERIMENTS:
             print(f"  {key}")
         print(usage("experiments"))
         return 0
     for key in keys:
-        if key not in _MODULES:
-            print(f"unknown experiment {key!r}; known: {', '.join(_MODULES)}")
+        if key not in EXPERIMENTS:
+            print(f"unknown experiment {key!r}; "
+                  f"known: {', '.join(EXPERIMENTS)}")
             return 2
     previous = engine.configure(
         jobs=opts["jobs"],
@@ -66,9 +55,7 @@ def main(argv: list[str]) -> int:
     )
     try:
         for key in keys:
-            module = importlib.import_module(
-                f"repro.harness.experiments.{_MODULES[key]}"
-            )
+            module = EXPERIMENTS[key]
             print(module.format_report(module.run()))
             print()
     except SimulationError as error:

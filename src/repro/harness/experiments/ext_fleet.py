@@ -52,11 +52,3 @@ def format_report(result: FleetResult) -> str:
         f"{100 * rchdroid['data_loss_rate']:.0f}%"
     )
     return format_fleet_report(result) + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -141,11 +141,3 @@ def format_report(result: ExtFragmentsResult) -> str:
         " the system level can)"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

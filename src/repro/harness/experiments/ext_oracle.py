@@ -21,12 +21,12 @@ classification instead of being asserted:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.apps.appset27 import build_appset27
-from repro.oracle import (
-    OracleReport,
-    format_oracle_report,
-    run_oracle_session,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.oracle import OracleReport
 
 #: Corpus apps the oracle is allowed to see rchdroid state loss on —
 #: the bare-field pair RCHDroid cannot fix (paper Table 3).
@@ -34,6 +34,11 @@ RCHDROID_ALLOWED_LOSS = ("tp37.diskdiggerpro", "tp37.dock4droid")
 
 
 def run(seed: int = 0x5EED, member: int = 0) -> OracleReport:
+    # Imported here, as in format_report: the oracle package is a third
+    # of the experiment registry's import time, which the daemon pays
+    # on its first experiment job and never uses.
+    from repro.oracle import OracleReport, run_oracle_session
+
     report = OracleReport()
     for app in build_appset27(seed):
         report.add(run_oracle_session(app, seed=seed, member=member))
@@ -41,6 +46,8 @@ def run(seed: int = 0x5EED, member: int = 0) -> OracleReport:
 
 
 def format_report(report: OracleReport) -> str:
+    from repro.oracle import format_oracle_report
+
     data = report.to_dict()
     divergent = {
         policy: sorted({
@@ -58,7 +65,3 @@ def format_report(report: OracleReport) -> str:
         lines.append(f"    {policy:<14} {len(apps):>2}/27"
                      + (f"  ({shown})" if apps else ""))
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))

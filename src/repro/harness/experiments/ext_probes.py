@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.benchmark import make_benchmark_app
-from repro.engine import RunRequest, run_batch
+from repro.engine import RunRequest
+from repro.harness.experiments import run_requests
 from repro.harness.report import render_table
 from repro.harness.runner import ProbeVerdict
 
@@ -25,6 +26,7 @@ DELAYS_MS: tuple[float, ...] = (
     100.0, 500.0, 1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0,
 )
 POLICY_NAMES: tuple[str, ...] = ("android10", "runtimedroid", "rchdroid")
+NUM_IMAGES = 8
 
 
 @dataclass
@@ -60,22 +62,26 @@ class ExtProbesResult:
         }
 
 
-def run(delays_ms: tuple[float, ...] = DELAYS_MS,
-        policies: tuple[str, ...] = POLICY_NAMES, *,
-        num_images: int = 8,
-        jobs: int | str | None = None, cache=None) -> ExtProbesResult:
-    app = make_benchmark_app(num_images)
-    requests = [
-        RunRequest.probe(policy, app, audit_delay_ms=delay)
-        for policy in policies
-        for delay in delays_ms
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
+    app = make_benchmark_app(NUM_IMAGES)
+    return [
+        RunRequest.probe(policy, app, seed, audit_delay_ms=delay)
+        for policy in POLICY_NAMES
+        for delay in DELAYS_MS
     ]
-    results = run_batch(requests, jobs=jobs, cache=cache)
-    verdicts = {
-        policy: results[i * len(delays_ms):(i + 1) * len(delays_ms)]
-        for i, policy in enumerate(policies)
-    }
-    return ExtProbesResult(delays_ms=tuple(delays_ms), verdicts=verdicts)
+
+
+def fold(requests: list[RunRequest], results: list) -> ExtProbesResult:
+    per_policy = len(DELAYS_MS)
+    return ExtProbesResult(delays_ms=DELAYS_MS, verdicts={
+        policy: results[i * per_policy:(i + 1) * per_policy]
+        for i, policy in enumerate(POLICY_NAMES)
+    })
+
+
+def run(seed: int = 0x5EED, *, jobs: int | str | None = None,
+        cache=None) -> ExtProbesResult:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def _slot_cell(verdict: ProbeVerdict) -> str:
@@ -111,11 +117,3 @@ def format_report(result: ExtProbesResult) -> str:
         + ", ".join(f"{policy}={eventually[policy]}" for policy in eventually)
     )
     return "\n\n".join(tables) + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -112,11 +112,3 @@ def format_report(result: ExtRobustnessResult) -> str:
         f"{100 * result.rchdroid.state_loss_rate:.0f}%"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

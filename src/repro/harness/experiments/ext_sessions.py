@@ -107,11 +107,3 @@ def format_report(result: ExtSessionsResult) -> str:
         "\nevery cadence, and is what the paper's Tables 3/5 measure."
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

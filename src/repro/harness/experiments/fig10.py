@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.benchmark import make_benchmark_app
-from repro.engine import RunRequest, run_batch
+from repro.engine import RunRequest
+from repro.harness.experiments import run_requests
 from repro.harness.report import Comparison, render_comparisons, render_table
 from repro.harness.scenarios import ScalabilityPoint
 
+VIEW_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 PAPER = {
     "android10_ms": 141.8,
     "rchdroid_ms": 89.2,
@@ -37,28 +39,34 @@ class Fig10Result:
         raise KeyError(num_views)
 
 
-def run(view_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32), *,
-        jobs: int | str | None = None, cache=None) -> Fig10Result:
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
     # Three cells per view count; the two RCHDroid cells of a count share
     # the same launched system, so the engine forks them from one prefix
     # snapshot instead of re-preparing.
-    requests = []
-    for count in view_counts:
+    cells = []
+    for count in VIEW_COUNTS:
         app = make_benchmark_app(count)
-        requests += [
-            RunRequest.scalability("android10", app, variant="stock"),
-            RunRequest.scalability("rchdroid", app, variant="paths"),
-            RunRequest.scalability("rchdroid", app, variant="migration"),
+        cells += [
+            RunRequest.scalability("android10", app, seed, variant="stock"),
+            RunRequest.scalability("rchdroid", app, seed, variant="paths"),
+            RunRequest.scalability("rchdroid", app, seed,
+                                   variant="migration"),
         ]
-    results = run_batch(requests, jobs=jobs, cache=cache)
-    points = []
-    for index, count in enumerate(view_counts):
-        stock, paths, migration = results[3 * index:3 * index + 3]
-        points.append(
-            ScalabilityPoint(count, stock.handling_ms, paths.handling_ms,
-                             paths.init_ms, migration.migration_ms)
-        )
-    return Fig10Result(points=points)
+    return cells
+
+
+def fold(requests: list[RunRequest], results: list) -> Fig10Result:
+    return Fig10Result(points=[
+        ScalabilityPoint(count, stock.handling_ms, paths.handling_ms,
+                         paths.init_ms, migration.migration_ms)
+        for count, stock, paths, migration in zip(
+            VIEW_COUNTS, results[::3], results[1::3], results[2::3])
+    ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | str | None = None,
+        cache=None) -> Fig10Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Fig10Result) -> str:
@@ -90,11 +98,3 @@ def format_report(result: Fig10Result) -> str:
         "paper vs measured",
     )
     return table + "\n\n" + comparisons
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

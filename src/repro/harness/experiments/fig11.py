@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.benchmark import make_benchmark_app
-from repro.engine import RunRequest, run_batch
+from repro.engine import RunRequest
+from repro.harness.experiments import run_requests
 from repro.harness.report import render_table, series_block
 from repro.harness.scenarios import GcTradeoffPoint
 
@@ -46,14 +47,21 @@ class Fig11Result:
         )
 
 
-def run(sweep_s: tuple[float, ...] = SWEEP_S, *,
-        jobs: int | str | None = None, cache=None) -> Fig11Result:
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
     # Every operating point launches the same 32-image app and differs
     # only in THRESH_T (a finish-side kwarg), so the whole sweep is one
     # prefix group: the engine prepares once and forks seven times.
     app = make_benchmark_app(32)
-    requests = [RunRequest.gc(app, thresh_t_s=t) for t in sweep_s]
-    return Fig11Result(points=run_batch(requests, jobs=jobs, cache=cache))
+    return [RunRequest.gc(app, seed, thresh_t_s=t) for t in SWEEP_S]
+
+
+def fold(requests: list[RunRequest], results: list) -> Fig11Result:
+    return Fig11Result(points=results)
+
+
+def run(seed: int = 0x5EED, *, jobs: int | str | None = None,
+        cache=None) -> Fig11Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Fig11Result) -> str:
@@ -84,11 +92,3 @@ def format_report(result: Fig11Result) -> str:
         f"{result.plateau_after_50s}"
     )
     return table + "\n\n" + series + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

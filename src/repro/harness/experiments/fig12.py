@@ -16,7 +16,8 @@ from repro.android.views.inflate import ViewSpec
 from repro.apps.dsl import AppSpec, IssueKind, StateSlot, StorageKind, \
     filler_views, two_orientation_resources
 from repro.baselines.runtimedroid import RUNTIMEDROID_TABLE4
-from repro.engine import run_policy_matrix
+from repro.engine import RunRequest, policy_matrix
+from repro.harness.experiments import run_requests
 from repro.harness.report import render_table
 from repro.sim.rng import DeterministicRng
 
@@ -91,24 +92,30 @@ class Fig12Result:
         return 0  # the Android-System way: no app modifications
 
 
-def run(seed: int = 0x5EED, *, jobs: int | None = None,
-        cache=None) -> Fig12Result:
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
+    return policy_matrix(build_table4_apps(seed),
+                         ["android10", "rchdroid", "runtimedroid"], seed=seed)
+
+
+def fold(requests: list[RunRequest], results: list) -> Fig12Result:
     table4_by_app = {entry.app: entry for entry in RUNTIMEDROID_TABLE4}
-    apps = build_table4_apps(seed)
-    matrix = run_policy_matrix(
-        apps, ["android10", "rchdroid", "runtimedroid"],
-        seed=seed, jobs=jobs, cache=cache,
-    )
     return Fig12Result(rows=[
         Fig12Row(
-            label=app.label,
-            android10_ms=cell["android10"].steady_state_ms,
-            rchdroid_ms=cell["rchdroid"].steady_state_ms,
-            runtimedroid_ms=cell["runtimedroid"].steady_state_ms,
-            runtimedroid_mod_loc=table4_by_app[app.label].modification_loc,
+            label=request.app.label,
+            android10_ms=stock.steady_state_ms,
+            rchdroid_ms=rchdroid.steady_state_ms,
+            runtimedroid_ms=runtimedroid.steady_state_ms,
+            runtimedroid_mod_loc=table4_by_app[
+                request.app.label].modification_loc,
         )
-        for app, cell in zip(apps, matrix)
+        for request, stock, rchdroid, runtimedroid in zip(
+            requests[::3], results[::3], results[1::3], results[2::3])
     ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | None = None,
+        cache=None) -> Fig12Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Fig12Result) -> str:
@@ -133,11 +140,3 @@ def format_report(result: Fig12Result) -> str:
         "RCHDroid needs no app modifications)"
     )
     return fig + "\n\n" + table4 + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -128,11 +128,3 @@ def format_report(result: Fig13Result) -> str:
         f"{result.all_reproduced}"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,8 @@ from statistics import mean
 
 from repro.apps.dsl import IssueKind
 from repro.apps.top100 import build_top100
-from repro.engine import run_policy_matrix
+from repro.engine import RunRequest, policy_matrix
+from repro.harness.experiments import run_requests
 from repro.harness.report import Comparison, render_comparisons, render_table
 
 PAPER = {
@@ -74,25 +75,32 @@ class Fig14Result:
         return 100.0 * (self.mean_rchdroid_mb / self.mean_android10_mb - 1.0)
 
 
-def run(seed: int = 0x5EED, *, jobs: int | None = None,
-        cache=None) -> Fig14Result:
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
     fixable = [
         app for app in build_top100(seed)
         if app.issue is IssueKind.VIEW_STATE_LOSS
     ]
-    matrix = run_policy_matrix(fixable, ["android10", "rchdroid"],
-                               seed=seed, jobs=jobs, cache=cache)
+    return policy_matrix(fixable, ["android10", "rchdroid"], seed=seed)
+
+
+def fold(requests: list[RunRequest], results: list) -> Fig14Result:
     return Fig14Result(rows=[
         Fig14Row(
-            label=app.label,
-            android10_ms=cell["android10"].steady_state_ms,
-            rchdroid_ms=cell["rchdroid"].steady_state_ms,
-            rchdroid_init_ms=cell["rchdroid"].first_episode_ms,
-            android10_mb=cell["android10"].memory_after_mb,
-            rchdroid_mb=cell["rchdroid"].memory_after_mb,
+            label=request.app.label,
+            android10_ms=stock.steady_state_ms,
+            rchdroid_ms=rchdroid.steady_state_ms,
+            rchdroid_init_ms=rchdroid.first_episode_ms,
+            android10_mb=stock.memory_after_mb,
+            rchdroid_mb=rchdroid.memory_after_mb,
         )
-        for app, cell in zip(fixable, matrix)
+        for request, stock, rchdroid in zip(
+            requests[::2], results[::2], results[1::2])
     ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | None = None,
+        cache=None) -> Fig14Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Fig14Result) -> str:
@@ -129,11 +137,3 @@ def format_report(result: Fig14Result) -> str:
         "paper vs measured",
     )
     return table + "\n\n" + comparisons
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from statistics import mean
 
 from repro.apps.appset27 import build_appset27
-from repro.engine import run_policy_matrix
+from repro.engine import RunRequest, policy_matrix
+from repro.harness.experiments import run_requests
 from repro.harness.report import Comparison, render_comparisons, render_table
 
 PAPER_MEAN_SAVING_PERCENT = 25.46
@@ -48,20 +49,27 @@ class Fig7Result:
         return mean(row.rchdroid_ms for row in self.rows)
 
 
-def run(seed: int = 0x5EED, *, jobs: int | None = None,
-        cache=None) -> Fig7Result:
-    apps = build_appset27(seed)
-    matrix = run_policy_matrix(apps, ["android10", "rchdroid"],
-                               seed=seed, jobs=jobs, cache=cache)
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
+    return policy_matrix(build_appset27(seed), ["android10", "rchdroid"],
+                         seed=seed)
+
+
+def fold(requests: list[RunRequest], results: list) -> Fig7Result:
     return Fig7Result(rows=[
         Fig7Row(
-            label=app.label,
-            android10_ms=cell["android10"].steady_state_ms,
-            rchdroid_ms=cell["rchdroid"].steady_state_ms,
-            rchdroid_init_ms=cell["rchdroid"].first_episode_ms,
+            label=request.app.label,
+            android10_ms=stock.steady_state_ms,
+            rchdroid_ms=rchdroid.steady_state_ms,
+            rchdroid_init_ms=rchdroid.first_episode_ms,
         )
-        for app, cell in zip(apps, matrix)
+        for request, stock, rchdroid in zip(
+            requests[::2], results[::2], results[1::2])
     ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | None = None,
+        cache=None) -> Fig7Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Fig7Result) -> str:
@@ -81,11 +89,3 @@ def format_report(result: Fig7Result) -> str:
         "paper vs measured",
     )
     return table + "\n\n" + comparisons
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from statistics import mean
 
 from repro.apps.appset27 import build_appset27
-from repro.engine import run_policy_matrix
+from repro.engine import RunRequest, policy_matrix
+from repro.harness.experiments import run_requests
 from repro.harness.report import Comparison, render_comparisons, render_table
 
 PAPER_ANDROID10_MB = 47.56
@@ -43,19 +44,26 @@ class Fig8Result:
         return self.mean_rchdroid_mb / self.mean_android10_mb
 
 
-def run(seed: int = 0x5EED, *, jobs: int | None = None,
-        cache=None) -> Fig8Result:
-    apps = build_appset27(seed)
-    matrix = run_policy_matrix(apps, ["android10", "rchdroid"],
-                               seed=seed, jobs=jobs, cache=cache)
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
+    return policy_matrix(build_appset27(seed), ["android10", "rchdroid"],
+                         seed=seed)
+
+
+def fold(requests: list[RunRequest], results: list) -> Fig8Result:
     return Fig8Result(rows=[
         Fig8Row(
-            label=app.label,
-            android10_mb=cell["android10"].memory_after_mb,
-            rchdroid_mb=cell["rchdroid"].memory_after_mb,
+            label=request.app.label,
+            android10_mb=stock.memory_after_mb,
+            rchdroid_mb=rchdroid.memory_after_mb,
         )
-        for app, cell in zip(apps, matrix)
+        for request, stock, rchdroid in zip(
+            requests[::2], results[::2], results[1::2])
     ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | None = None,
+        cache=None) -> Fig8Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Fig8Result) -> str:
@@ -76,11 +84,3 @@ def format_report(result: Fig8Result) -> str:
         "paper vs measured",
     )
     return table + "\n\n" + comparisons
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

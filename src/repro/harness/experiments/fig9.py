@@ -157,11 +157,3 @@ def format_report(result: Fig9Result) -> str:
         parts.append(breakdown)
     parts.append(series)
     return "\n\n".join(parts)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -87,11 +87,3 @@ def format_report(result: EnergyResult) -> str:
         "(paper: unchanged — the shadow instance is inactive)"
     )
     return comparisons + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

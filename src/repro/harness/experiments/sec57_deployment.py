@@ -92,11 +92,3 @@ def format_report(result: DeploymentResult) -> str:
         f"{result.rchdroid_cheaper_beyond_apps} apps"
     )
     return table + "\n\n" + comparisons + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

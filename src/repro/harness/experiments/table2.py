@@ -97,11 +97,3 @@ def format_report(result: Table2Result) -> str:
         f"\nall counterparts present: {result.all_symbols_exist}"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.appset27 import UNFIXABLE_APPS, build_appset27
-from repro.engine import KIND_ISSUE, run_policy_matrix
+from repro.engine import KIND_ISSUE, RunRequest, policy_matrix
+from repro.harness.experiments import run_requests
 from repro.harness.report import render_table
 from repro.harness.runner import IssueVerdict
 
@@ -52,23 +53,29 @@ class Table3Result:
         return [row.label for row in self.rows if not row.solved_by_rchdroid]
 
 
-def run(seed: int = 0x5EED, *, jobs: int | None = None,
-        cache=None) -> Table3Result:
-    apps = build_appset27(seed)
-    matrix = run_policy_matrix(apps, ["android10", "rchdroid"],
-                               kind=KIND_ISSUE, seed=seed,
-                               jobs=jobs, cache=cache)
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
+    return policy_matrix(build_appset27(seed), ["android10", "rchdroid"],
+                         kind=KIND_ISSUE, seed=seed)
+
+
+def fold(requests: list[RunRequest], results: list) -> Table3Result:
     return Table3Result(rows=[
         Table3Row(
             index=index,
-            label=app.label,
-            downloads=app.downloads,
-            issue_description=app.issue_description,
-            stock=cell["android10"],
-            rchdroid=cell["rchdroid"],
+            label=request.app.label,
+            downloads=request.app.downloads,
+            issue_description=request.app.issue_description,
+            stock=stock,
+            rchdroid=rchdroid,
         )
-        for index, (app, cell) in enumerate(zip(apps, matrix), start=1)
+        for index, (request, stock, rchdroid) in enumerate(
+            zip(requests[::2], results[::2], results[1::2]), start=1)
     ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | None = None,
+        cache=None) -> Table3Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Table3Result) -> str:
@@ -90,11 +97,3 @@ def format_report(result: Table3Result) -> str:
         f"(paper: {', '.join(sorted(UNFIXABLE_APPS))})"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

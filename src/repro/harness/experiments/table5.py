@@ -17,7 +17,8 @@ from repro.apps.top100 import (
     build_top100,
     expected_counts,
 )
-from repro.engine import KIND_ISSUE, run_policy_matrix
+from repro.engine import KIND_ISSUE, RunRequest, policy_matrix
+from repro.harness.experiments import run_requests
 from repro.harness.report import render_table
 from repro.harness.runner import IssueVerdict
 
@@ -75,12 +76,12 @@ class Table5Result:
         ]
 
 
-def run(seed: int = 0x5EED, *, jobs: int | None = None,
-        cache=None) -> Table5Result:
-    apps = build_top100(seed)
-    matrix = run_policy_matrix(apps, ["android10", "rchdroid"],
-                               kind=KIND_ISSUE, seed=seed,
-                               jobs=jobs, cache=cache)
+def requests(seed: int = 0x5EED) -> list[RunRequest]:
+    return policy_matrix(build_top100(seed), ["android10", "rchdroid"],
+                         kind=KIND_ISSUE, seed=seed)
+
+
+def fold(requests: list[RunRequest], results: list) -> Table5Result:
     return Table5Result(rows=[
         Table5Row(
             rank=table_row.rank,
@@ -88,12 +89,18 @@ def run(seed: int = 0x5EED, *, jobs: int | None = None,
             downloads=table_row.downloads,
             declared_issue=table_row.has_issue,
             problem=table_row.problem,
-            issue_kind=app.issue,
-            stock=cell["android10"],
-            rchdroid=cell["rchdroid"],
+            issue_kind=request.app.issue,
+            stock=stock,
+            rchdroid=rchdroid,
         )
-        for table_row, app, cell in zip(TOP100_TABLE, apps, matrix)
+        for table_row, request, stock, rchdroid in zip(
+            TOP100_TABLE, requests[::2], results[::2], results[1::2])
     ])
+
+
+def run(seed: int = 0x5EED, *, jobs: int | None = None,
+        cache=None) -> Table5Result:
+    return run_requests(requests, fold, seed, jobs=jobs, cache=cache)
 
 
 def format_report(result: Table5Result) -> str:
@@ -124,11 +131,3 @@ def format_report(result: Table5Result) -> str:
         f"(paper: {', '.join(sorted(UNFIXABLE_TOP100))})"
     )
     return table + footer
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -28,9 +28,10 @@ from repro.options import check_params
 PROTOCOL_VERSION = 1
 
 #: Job kinds the daemon executes.  ``fleet``, ``oracle``, and ``hunt``
-#: mirror the CLI subcommands; ``experiment`` runs a named engine-bench
-#: request set (``fig14``/``table5``/``probes``) through the daemon's
-#: shared result cache.
+#: mirror the CLI subcommands; ``experiment`` runs the request list of
+#: one engine-backed experiment
+#: (:data:`~repro.harness.experiments.ENGINE_EXPERIMENTS`) through the
+#: daemon's shared result cache.
 JOB_KINDS = ("fleet", "oracle", "experiment", "hunt")
 
 

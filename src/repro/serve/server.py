@@ -58,7 +58,6 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.harness.requests import _REQUEST_BUILDERS
 from repro.options import parse, usage
 from repro.serve import tasks
 from repro.serve.protocol import (
@@ -247,13 +246,20 @@ class Daemon:
 
     # --- experiment ----------------------------------------------------
     def _prepare_experiment(self, job: Job) -> None:
+        # Imported on the first experiment job, like the fleet and oracle
+        # modules above: a daemon that runs none never loads the 19
+        # experiment modules, nor do pool workers forked before one.
+        from repro.harness.experiments import ENGINE_EXPERIMENTS, EXPERIMENTS
+
         name = job.params["experiment"]
-        if name not in _REQUEST_BUILDERS:
+        if name not in ENGINE_EXPERIMENTS:
+            what = (f"experiment {name!r} runs outside the engine"
+                    if name in EXPERIMENTS
+                    else f"unknown experiment {name!r}")
             raise ServeError(
-                f"unknown experiment {name!r}; "
-                f"known: {sorted(_REQUEST_BUILDERS)}"
+                f"{what}; the daemon runs: {', '.join(ENGINE_EXPERIMENTS)}"
             )
-        requests = _REQUEST_BUILDERS[name](job.params["seed"])
+        requests = ENGINE_EXPERIMENTS[name].requests(job.params["seed"])
         job.exp_results: list = [None] * len(requests)
         job.exp_keys = [request.cache_key() for request in requests]
         misses = []

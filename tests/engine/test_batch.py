@@ -1,4 +1,4 @@
-"""run_batch / run_policy_matrix: ordering, parallelism, cache wiring."""
+"""run_batch / policy_matrix: ordering, parallelism, cache wiring."""
 
 import json
 import multiprocessing
@@ -16,9 +16,9 @@ from repro.engine import (
     configure,
     encode_result,
     execute_request,
+    policy_matrix,
     restore,
     run_batch,
-    run_policy_matrix,
 )
 from repro.engine import batch as batch_module
 from repro.engine.batch import MAX_CALL_REQUESTS, plan_calls
@@ -182,29 +182,32 @@ def _resolve_default_cache():
 
 
 class TestPolicyMatrix:
-    def test_one_dict_per_app_in_order(self):
+    def test_one_request_per_app_and_policy_in_order(self):
         apps = build_appset27()[:3]
-        matrix = run_policy_matrix(apps, ["android10", "rchdroid"])
-        assert len(matrix) == 3
-        for app, cell in zip(apps, matrix):
-            assert set(cell) == {"android10", "rchdroid"}
-            assert cell["android10"].package == app.package
-            assert cell["android10"].policy == "android10"
-            assert cell["rchdroid"].policy == "rchdroid"
+        requests = policy_matrix(apps, ["android10", "rchdroid"])
+        assert [(request.app, request.policy) for request in requests] \
+            == [(app, policy) for app in apps
+                for policy in ("android10", "rchdroid")]
+        results = run_batch(requests)
+        assert len(results) == 3 * 2
+        for app, stock, rchdroid in zip(apps, results[::2], results[1::2]):
+            assert stock.package == app.package
+            assert stock.policy == "android10"
+            assert rchdroid.policy == "rchdroid"
 
     def test_issue_matrix(self):
         apps = build_appset27()[:2]
-        matrix = run_policy_matrix(apps, ["android10"], kind=KIND_ISSUE)
-        assert all(cell["android10"].package == app.package
-                   for app, cell in zip(apps, matrix))
+        results = run_batch(policy_matrix(apps, ["android10"],
+                                          kind=KIND_ISSUE))
+        assert all(result.package == app.package
+                   for app, result in zip(apps, results))
 
     def test_matrix_with_cache_is_identical(self, tmp_path):
-        apps = build_appset27()[:2]
-        plain = run_policy_matrix(apps, ["android10", "rchdroid"])
-        cached = run_policy_matrix(apps, ["android10", "rchdroid"],
-                                   cache=ResultCache(root=tmp_path))
-        for a, b in zip(plain, cached):
-            assert _encoded(a.values()) == _encoded(b.values())
+        requests = policy_matrix(build_appset27()[:2],
+                                 ["android10", "rchdroid"])
+        plain = run_batch(requests)
+        cached = run_batch(requests, cache=ResultCache(root=tmp_path))
+        assert _encoded(plain) == _encoded(cached)
 
 
 class TestExecuteRequest:
@@ -215,9 +218,12 @@ class TestExecuteRequest:
 
 
 def _builders():
-    from repro.harness.requests import _REQUEST_BUILDERS
+    """Two experiments' request lists and bench-engine's probe sweep."""
+    from repro.engine.bench import probe_storm_requests
+    from repro.harness.experiments import fig14, table5
 
-    return _REQUEST_BUILDERS
+    return {"fig14": fig14.requests, "probes": probe_storm_requests,
+            "table5": table5.requests}
 
 
 def _mixed_requests():
@@ -287,9 +293,12 @@ class TestPlanCalls:
 
         script = (
             "from repro.engine.batch import plan_calls\n"
-            "from repro.harness.requests import _REQUEST_BUILDERS\n"
-            "for name in sorted(_REQUEST_BUILDERS):\n"
-            "    requests = _REQUEST_BUILDERS[name](0x5EED)\n"
+            "from repro.engine.bench import probe_storm_requests\n"
+            "from repro.harness.experiments import fig14, table5\n"
+            "for name, build in (('fig14', fig14.requests),\n"
+            "                    ('probes', probe_storm_requests),\n"
+            "                    ('table5', table5.requests)):\n"
+            "    requests = build(0x5EED)\n"
             "    for workers in (1, 2):\n"
             "        print(name, workers, plan_calls(\n"
             "            requests, range(len(requests)), workers, True))\n"
@@ -319,11 +328,11 @@ class TestPlanCalls:
 class TestFingerprintMemo:
     def test_rebuilt_fig14_requests_do_not_grow_the_memo(self):
         from repro.engine import batch
-        from repro.harness.requests import _REQUEST_BUILDERS
+        from repro.harness.experiments import fig14
 
         def keys():
             return [request.cache_key()
-                    for request in _REQUEST_BUILDERS["fig14"](0x5EED)]
+                    for request in fig14.requests(0x5EED)]
 
         expected = keys()
         entries = len(batch._FP_MEMO)

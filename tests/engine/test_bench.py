@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 from repro.engine import bench
-from repro.harness.requests import _REQUEST_BUILDERS
+from repro.harness.experiments import fig14, table5
 
 
 def _snapshot_section(*, identical=True):
@@ -110,18 +110,18 @@ class TestReportOutput:
 
 class TestRequestBuilders:
     def test_fig14_builder_covers_both_policies(self):
-        requests = _REQUEST_BUILDERS["fig14"]()
+        requests = fig14.requests()
         assert len(requests) == 118
         assert {request.policy for request in requests} \
             == {"android10", "rchdroid"}
 
     def test_table5_builder_covers_the_full_corpus(self):
-        requests = _REQUEST_BUILDERS["table5"]()
+        requests = table5.requests()
         assert len(requests) == 200
         assert {request.kind for request in requests} == {"issue"}
 
     def test_probes_builder_is_two_prefix_groups(self):
-        requests = _REQUEST_BUILDERS["probes"]()
+        requests = bench.probe_storm_requests()
         assert {request.kind for request in requests} == {"probe"}
         prefixes = {request.prefix_key() for request in requests}
         assert len(prefixes) == 2

@@ -25,7 +25,8 @@ from repro.apps.top100 import build_top100
 from repro.engine.fingerprint import fingerprint
 from repro.fleet.population import fleet_corpus
 from repro.fleet.run import FleetSpec, template_key
-from repro.harness.requests import _REQUEST_BUILDERS
+from repro.engine.bench import probe_storm_requests
+from repro.harness.experiments import fig14, table5
 from repro.hunt.generator import generate_app
 from repro.serve.protocol import fleet_params_fingerprint
 from repro.sim.costs import DEFAULT_COSTS
@@ -53,8 +54,8 @@ FLEET_PARAMS = (
 def key_surface() -> list[str]:
     """Every cache key of the pinned surface, in a fixed order."""
     keys = []
-    for name in sorted(_REQUEST_BUILDERS):
-        for request in _REQUEST_BUILDERS[name](0x5EED):
+    for build in (fig14.requests, probe_storm_requests, table5.requests):
+        for request in build(0x5EED):
             keys.append(request.cache_key())
             keys.append(request.prefix_key())
     apps = [*build_top100(), *build_appset27(), *fleet_corpus(),

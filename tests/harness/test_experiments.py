@@ -114,13 +114,14 @@ class TestDeployment:
 
 def test_cli_reports_an_engine_error_without_a_traceback(monkeypatch, capsys):
     from repro.errors import EngineError
+    from repro.harness import experiments
     from repro.harness.experiments.__main__ import main
 
     def dead_worker(*args, **kwargs):
         raise EngineError("a batch worker died with pool call 1 of 9 "
                           "unfinished")
 
-    monkeypatch.setattr(fig10, "run_batch", dead_worker)
+    monkeypatch.setattr(experiments, "run_batch", dead_worker)
     assert main(["fig10", "--no-cache", "--jobs", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == (

@@ -22,7 +22,7 @@ import pytest
 from repro.engine.batch import plan_calls, run_batch
 from repro.engine.codec import experiment_digest
 from repro.fleet.run import run_fleet
-from repro.harness.requests import _REQUEST_BUILDERS
+from repro.harness.experiments import ENGINE_EXPERIMENTS, EXPERIMENTS, fig14
 from repro.serve import server
 from repro.serve.protocol import fleet_spec_from_params
 from repro.serve.server import Daemon, _Server
@@ -63,46 +63,95 @@ def _watch_window(daemon) -> list[int]:
     return seen
 
 
-@pytest.fixture(scope="module")
-def probes_digest() -> str:
-    requests = _REQUEST_BUILDERS["probes"](SEED)
-    return experiment_digest(run_batch(requests, jobs=1, cache=False))
+def _cold_then_warm(tmp_path, name):
+    """Run experiment ``name`` twice on a fresh ``Daemon(jobs=1)``;
+    returns both ``done`` events and the pool window seen per submit."""
+    daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+    seen = _watch_window(daemon)
+    params = {"experiment": name, "seed": SEED}
+
+    async def run():
+        cold = daemon.submit("experiment", params, "tests")
+        await _wait(cold)
+        warm = daemon.submit("experiment", params, "tests")
+        await _wait(warm)
+        return cold.events[-1], warm.events[-1]
+
+    try:
+        cold, warm = asyncio.run(run())
+    finally:
+        daemon.shutdown()
+    return cold, warm, seen
 
 
 class TestExperimentJobs:
-    def test_cold_then_cached_probes_match_the_batch_digest(
-            self, tmp_path, probes_digest):
-        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
-        seen = _watch_window(daemon)
-        params = {"experiment": "probes", "seed": SEED}
+    @pytest.mark.parametrize("name", list(ENGINE_EXPERIMENTS))
+    def test_every_engine_experiment_matches_the_batch_digest(
+            self, tmp_path, name):
+        requests = ENGINE_EXPERIMENTS[name].requests(SEED)
+        expected = experiment_digest(run_batch(requests, jobs=1,
+                                               cache=False))
+        cold, warm, _ = _cold_then_warm(tmp_path, name)
+        assert cold["event"] == "done" and cold["exit"] == 0
+        assert cold["runs"] == len(requests) and cold["cache_hits"] == 0
+        assert cold["digest"] == expected
+        assert warm["cache_hits"] == warm["runs"] == len(requests)
+        assert warm["digest"] == expected
 
-        async def run():
-            cold = daemon.submit("experiment", params, "tests")
-            await _wait(cold)
-            warm = daemon.submit("experiment", params, "tests")
-            await _wait(warm)
-            return cold.events[-1], warm.events[-1]
-
-        try:
-            cold, warm = asyncio.run(run())
-        finally:
-            daemon.shutdown()
+    def test_cold_then_cached_ext_probes_match_the_batch_digest(
+            self, tmp_path):
+        requests = ENGINE_EXPERIMENTS["ext-probes"].requests(SEED)
+        expected = experiment_digest(run_batch(requests, jobs=1,
+                                               cache=False))
+        calls = plan_calls(requests, range(len(requests)), 1, share=True)
+        cold, warm, seen = _cold_then_warm(tmp_path, "ext-probes")
         assert cold["event"] == "done" and cold["exit"] == 0
         assert cold["cache_hits"] == 0
-        assert cold["digest"] == probes_digest
+        assert cold["digest"] == expected
         assert warm["cache_hits"] == warm["runs"] == cold["runs"]
-        assert warm["digest"] == probes_digest
+        assert warm["digest"] == expected
         # A call's prefix snapshots stay in its memory-only store: no
         # later job could read a disk copy.
         assert not (tmp_path / "root" / "snapshots").exists()
         # The cached repeat never touched the pool; the cold job ran as
-        # one planned call per prefix group and kept the pool exactly
-        # one unit ahead of its worker.
-        assert len(seen) == 2
+        # one planned call per prefix group (one per policy) and kept
+        # the pool exactly one unit ahead of its worker.
+        assert len(seen) == len(calls) == 3
         assert max(seen) == server.UNITS_PER_WORKER == 2
 
+    @pytest.mark.parametrize("name", [
+        "nope", "probes",
+        *(name for name in EXPERIMENTS if name not in ENGINE_EXPERIMENTS),
+    ])
+    def test_experiments_the_daemon_cannot_run_are_a_400(
+            self, tmp_path, name):
+        class Writer:
+            data = b""
+
+            def write(self, chunk):
+                self.data += chunk
+
+        daemon = Daemon(jobs=1, root=str(tmp_path / "root"))
+        try:
+            writer = Writer()
+            body = json.dumps({"kind": "experiment",
+                               "params": {"experiment": name}})
+            asyncio.run(_Server(daemon)._route(
+                "POST", "/jobs", body.encode(), writer))
+            assert daemon.jobs == {}
+        finally:
+            daemon.shutdown()
+        head, _, reply = writer.data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        error = json.loads(reply)["error"]
+        assert error.endswith(
+            "; the daemon runs: " + ", ".join(ENGINE_EXPERIMENTS))
+        outside = f"experiment {name!r} runs outside the engine"
+        assert error.startswith(outside if name in EXPERIMENTS
+                                else f"unknown experiment {name!r}")
+
     def test_cold_fig14_runs_as_planned_calls(self, tmp_path):
-        requests = _REQUEST_BUILDERS["fig14"](SEED)
+        requests = fig14.requests(SEED)
         expected = experiment_digest(run_batch(requests, jobs=1,
                                                cache=False))
         calls = plan_calls(requests, range(len(requests)), 1, share=True)

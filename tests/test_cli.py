@@ -417,6 +417,26 @@ class TestTraceCli:
         assert {"scheduler", "looper", "lifecycle", "atms", "ipc",
                 "migration"} <= categories
 
+    def test_trace_engine_experiment_with_a_worker_pool(self, capsys,
+                                                        tmp_path):
+        # With two workers run_batch would send fig7's calls to a pool,
+        # whose systems the trace session never sees; a traced batch
+        # runs in-process instead.
+        import json
+
+        from repro import engine
+
+        out_path = tmp_path / "fig7.json"
+        previous = engine.configure(jobs=2)
+        try:
+            assert repro_main(["trace", "fig7", "-o", str(out_path)]) == 0
+        finally:
+            engine.restore(previous)
+        printed = capsys.readouterr().out
+        assert "across 54 run(s)" in printed
+        assert "replay check OK" in printed
+        assert json.loads(out_path.read_text())["otherData"]["span_count"] > 0
+
     def test_trace_no_verify_skips_the_replay(self, capsys, tmp_path):
         out_path = tmp_path / "demo.json"
         args = ["trace", "demo", "-o", str(out_path), "--no-verify"]

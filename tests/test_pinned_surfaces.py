@@ -14,7 +14,8 @@ import pytest
 
 from repro.engine.batch import run_batch
 from repro.engine.codec import experiment_digest
-from repro.harness.requests import _REQUEST_BUILDERS
+from repro.engine.bench import probe_storm_requests
+from repro.harness.experiments import ENGINE_EXPERIMENTS
 from repro.hunt.generator import DEFAULT_CORPUS_SEED
 from repro.hunt.search import HuntSettings
 from repro.oracle.session import DEFAULT_POLICIES
@@ -30,7 +31,29 @@ EXPERIMENT_SHA256 = {
         "0dc7314174de0f3cd62e7419baea1e4995df1cff1c4213ca9362bb2c41f9f593",
     "table5":
         "700e7eb0d928cf4b2d2a95cc3b1a7807733d26c36b73fb6bd3ed1107efbc0b75",
+    # The other engine-backed experiments, recorded when their request
+    # lists moved into their modules.
+    "table3":
+        "7be566965b2d4d513c43c9940bee536273a68016e8af394f6912c800829ca772",
+    "fig7":
+        "0e6913692a58a7f80d82e1465b3a63e8c4c2961cf61e6d9a14a6eb2d4a605dc6",
+    "fig8":
+        "0e6913692a58a7f80d82e1465b3a63e8c4c2961cf61e6d9a14a6eb2d4a605dc6",
+    "fig10":
+        "885499638fb0078068df16c1901fd99b9a145a179731195fee6a54bedeb60fb6",
+    "fig11":
+        "3afda508468c1a75651d8921b34caac15f3e9c1ac8708308a34abd707e79dfff",
+    "fig12":
+        "e39e8ba80168398ceaaa389fda555a0c891be5fe275b89bd080267c1241490db",
+    "ext-probes":
+        "aca1bb3400f3b37198428caa57402ecc479679cf5da881f82d8ef29a99f5a854",
 }
+
+#: Request-list builder per pinned name: the engine-backed experiments,
+#: and ``bench-engine``'s snapshot sweep as ``probes``.
+BUILDERS = {"probes": probe_storm_requests,
+            **{name: module.requests
+               for name, module in ENGINE_EXPERIMENTS.items()}}
 
 #: sha256 of the canonical ``fleet.notepad`` oracle report.
 ORACLE_SHA256 = (
@@ -52,8 +75,12 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_SHA256))
 def test_experiment_digest_is_pinned(name):
-    results = run_batch(_REQUEST_BUILDERS[name](0x5EED), jobs=1, cache=False)
+    results = run_batch(BUILDERS[name](0x5EED), jobs=1, cache=False)
     assert _sha256(experiment_digest(results)) == EXPERIMENT_SHA256[name]
+
+
+def test_every_engine_experiment_is_pinned():
+    assert set(EXPERIMENT_SHA256) == set(BUILDERS)
 
 
 def test_oracle_report_is_pinned():
