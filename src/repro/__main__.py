@@ -50,11 +50,12 @@ once in ``repro.options`` and listed after this text by ``--help``):
   ``workload list`` names the registries; ``workload show NAME``
   prints a member's canonical IR dump; ``workload record`` records one
   traced session and compiles its span stream back to a workload file.
-* ``bench-engine``       — benchmark the batch engine (serial vs parallel
-  vs cached vs prefix-snapshot forking) and write ``BENCH_engine.json``;
-  ``--check`` exits non-zero unless cached re-runs beat cold serial and
-  all modes are byte-identical.  ``bench-engine fleet|serve|hunt``
-  benchmarks those layers instead.
+* ``bench-engine``       — the host-side benchmark harness: mode
+  ``engine`` (the default; serial vs parallel vs cached vs
+  prefix-snapshot forking), ``fleet``, ``serve`` or ``hunt`` times its
+  execution shapes and writes ``BENCH_<mode>.json``; ``--check`` exits
+  non-zero unless every shape is byte-identical to its reference and
+  every gate of the mode holds (docs/PERFORMANCE.md, "bench-engine").
 
 ``fleet``, ``oracle`` and ``hunt`` take ``--daemon URL``: the job runs
 on a ``repro serve`` daemon with the same report bytes and exit code,

@@ -1,55 +1,47 @@
-"""Wall-clock benchmark of the engine: serial vs parallel vs cached.
+"""``python -m repro bench-engine``: one harness for the host-side claims.
 
-Runs the request lists of engine-backed experiments
-(:data:`~repro.harness.experiments.ENGINE_EXPERIMENTS`; Fig. 14 and
-Table 5 by default — one handling matrix, one issue matrix) through
-:func:`~repro.engine.batch.run_batch` in five modes:
+Each mode is one row of :data:`MODES`: its default report file, the
+``bench-engine`` options it reads, the sections it runs and the gates
+``--check`` applies, each with its bound constant.
 
-* ``serial``            — jobs=1, no cache (the pre-engine behaviour);
-* ``parallel``          — jobs=N, no cache;
-* ``cached_cold``       — jobs=1 into an empty cache (simulate + store);
-* ``cached_warm_memory``— same cache object again (tier-1 hits only);
-* ``cached_warm_disk``  — a fresh cache at the same root (tier-2 hits,
-  the "new process next day" case).
+* ``engine`` (``BENCH_engine.json``) — the Fig. 14 and Table 5 request
+  lists through :func:`~repro.engine.batch.run_batch` serial, parallel,
+  into a cold cache, from the warm memory tier and from a fresh cache at
+  the same root (the disk tier); and the prefix-heavy probe sweep
+  (:func:`probe_storm_requests`) from scratch vs forked from prefix
+  snapshots, with and without fork verification.  Gated: both warm
+  tiers faster than serial.
+* ``fleet`` (``BENCH_fleet.json``) — cohort spawning by template fork
+  vs cold per-device setup (gated faster); the same fleet serial,
+  sharded and template-free; a devices × jobs scaling curve, each point
+  a real ``python -m repro fleet`` run whose peak RSS comes from
+  ``os.wait4`` (:data:`_PEAK_RSS`), gated flat within
+  :data:`SCALING_RSS_BOUND`; a rotation storm vs a calm day
+  (gated: every policy's storm/idle handling asymmetry above 1, only
+  stock's crash rate climbing); and, with ``--resume-check``, a
+  checkpointed run SIGKILLed and resumed.
+* ``serve`` (``BENCH_serve.json``) — a cold CLI fleet run vs the same
+  params as daemon requests: first, warm (gated
+  :data:`SERVE_WARM_SPEEDUP_GATE`× faster than the CLI, reusing the
+  stored templates), two concurrent clients, a cancelled large job
+  (gated clean) and a request after it; the daemon must exit 0.
+* ``hunt`` (``BENCH_hunt.json``) — corpus synthesis rate (gated
+  :data:`HUNT_GENERATOR_RATE_GATE` apps/s), a cold hunt vs the cached
+  re-hunt (gated :data:`HUNT_CACHED_SPEEDUP_GATE`×) and uncached hunts
+  at jobs 1 and 2; zero simulator bugs.
 
-A sixth, ``snapshot``, mode runs its own *prefix-heavy* sweep
-(:func:`probe_storm_requests`: a rotation-storm probe matrix whose cells
-differ only in audit delay, reported as ``probes``) twice cold:
-from-scratch vs prefix-shared, where each group prepares once, forks the
-rest from a device checkpoint, and (in the verified variant) re-runs a
-sample from scratch to assert byte-identity.
+Every timed comparison goes through :func:`run_shapes`: named execution
+shapes of one workload, the first the reference, each shape's output
+recorded byte-identical or not to the reference's.  :func:`check`
+fails any ``identical`` map entry that is false, then applies the
+mode's gates.  Wall-clock speedups without a gate (parallel, sharded)
+are reported only: they are properties of the host's core count, which
+the report's ``host`` header records.
 
-Every mode's results are checked byte-identical (via the cache codec's
-canonical JSON) against the serial run; the report refuses to exist if
-they are not.  ``python -m repro bench-engine`` writes the report as
-``BENCH_engine.json``; ``--check`` additionally exits non-zero unless
-cached re-runs beat the cold serial run and forked results are
-byte-identical to from-scratch ones.
-
-Parallel speedup scales with cores: on a 1-core container the pool
-costs more than it saves, and the report says so honestly — the
-``host.cpu_count`` field is there so numbers are read in context.
-
-``python -m repro bench-engine fleet`` benchmarks the fleet simulator
-instead (``BENCH_fleet.json``): cohort spawning by template fork vs
-per-device cold setup (the gated speedup — session play time is
-identical by construction, so the spawn path is timed on its own),
-end-to-end fleet runs in serial, sharded, and cold-setup form, all
-gated byte-identical, and a **devices × jobs scaling curve**: each
-point runs in its own subprocess so its peak RSS (``ru_maxrss``, self
-and pool children) is an honest high-water mark, and ``--check`` gates
-the bounded-memory claim — RSS at the largest point must stay within a
-small constant of the smallest, because the executor streams
-accumulators instead of materialising devices.
-
-``--resume-check`` additionally starts a checkpointed fleet run in a
-subprocess, SIGKILLs it once the first checkpoint lands, resumes it,
-and gates the resumed report byte-identical to an uninterrupted run.
 ``--max-rss-mb N`` arms a hard address-space ceiling
-(``resource.setrlimit``) before anything runs — the CI scale job uses
-it to turn "bounded memory" from a claim into an enforced limit — and
-the ``fleet-cli`` mode forwards its arguments to ``python -m repro
-fleet`` under that ceiling.
+(:func:`apply_rss_ceiling`) before anything runs, and ``fleet-cli``
+forwards the rest of the command line to ``python -m repro fleet``
+under it.
 """
 
 from __future__ import annotations
@@ -60,46 +52,126 @@ import platform
 import sys
 import tempfile
 import time
-from typing import Any, Callable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.apps.benchmark import make_benchmark_app
 from repro.engine.batch import RunRequest, run_batch
 from repro.engine.cache import ResultCache
 from repro.engine.codec import canonical_result
 from repro.harness.experiments import ENGINE_EXPERIMENTS
-from repro.options import parse
+from repro.options import COMMANDS, parse
 
-DEFAULT_OUTPUT = "BENCH_engine.json"
-DEFAULT_FLEET_OUTPUT = "BENCH_fleet.json"
-DEFAULT_FLEET_DEVICES = 360
+SEED = 0x5EED
 DEFAULT_EXPERIMENTS = ("fig14", "table5")
-#: The snapshot mode's report key.
-SNAPSHOT_EXPERIMENT = "probes"
+DEFAULT_FLEET_DEVICES = 360
 
-#: Scaling-curve geometry: device counts per jobs value.  Each point is
-#: a subprocess, so the curve's RSS numbers are per-run high-water
-#: marks, not a shared monotone maximum.
+#: Scaling-curve device counts, run at jobs 1 and at max(2, --jobs).
 SCALING_DEVICES = (360, 1440, 5760)
 
-#: "Bounded memory" gate: peak RSS at the largest curve point may be at
-#: most this multiple of the smallest point's (same jobs value).  A
-#: fleet executor that materialised devices or results would scale RSS
-#: linearly with the 16x device range and blow well past this.
+#: "Bounded memory": peak RSS at the largest curve point may be at most
+#: this multiple of the smallest point's (same jobs value).  A fleet
+#: executor that materialised devices or results would scale RSS with
+#: the 16x device range and blow well past this.
 SCALING_RSS_BOUND = 3.0
+
+#: Warm cache tiers and forked spawning must beat their cold reference.
+FASTER_BOUND = 1.0
+
+#: Total devices per phase-plan fleet, and the two plans compared.
+PHASES_DEVICES = 180
+PHASES_STORM_PLAN = "rotation-storm"
+PHASES_IDLE_PLAN = "calm"
+#: Every policy's storm/idle handling cost per device must exceed this.
+PHASES_ASYMMETRY_BOUND = 1.0
+
+#: A warm daemon request must beat the cold CLI by this factor.  The CLI
+#: pays interpreter boot + all template builds per invocation; the
+#: daemon pays them once per template ever.
+SERVE_WARM_SPEEDUP_GATE = 3.0
+#: Fleet size of the serve mode: template provisioning (what the daemon
+#: amortises) dominates the cold run, and the CI host finishes in seconds.
+DEFAULT_SERVE_DEVICES = 18
+
+#: Corpus synthesis floor, apps per second.  Generation is pure
+#: arithmetic over a deterministic rng (~10k/s on one core); anything
+#: under this is a structural regression, not noise.
+HUNT_GENERATOR_RATE_GATE = 500.0
+#: Generator throughput is measured over this many apps whatever the
+#: hunted corpus size, so the rate is stable across ``--devices``.
+HUNT_GENERATOR_SAMPLE = 1000
+#: A re-hunt against a warm result cache pays lookups and report
+#: folding only, and must beat the cold hunt by this factor.
+HUNT_CACHED_SPEEDUP_GATE = 2.0
+#: Corpus size of the hunt mode: probe execution dominates, and the CI
+#: host finishes the cold pass in a couple of seconds.
+DEFAULT_HUNT_BENCH_APPS = 60
+
+
+# ----------------------------------------------------------------------
+# the shape runner
+# ----------------------------------------------------------------------
+def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
+    start = time.perf_counter()
+    output = fn()
+    return time.perf_counter() - start, output
+
+
+def run_shapes(
+    shapes: "dict[str, Callable[[], Any]] | Iterable[tuple[str, Callable]]",
+    digest: Callable[[Any], Any] = lambda output: output,
+    repeats: "dict[str, int] | None" = None,
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Time the named execution ``shapes`` of one workload, in order.
+
+    ``shapes`` maps names to callables, or yields ``(name, callable)``
+    pairs: what a generator runs between two pairs is not timed.  The
+    first shape is the reference.  Every other shape's output is
+    compared with the reference's through ``digest`` (outside the timed
+    region) in the section's ``identical`` map; a shape that returns
+    ``None`` is timed only.  ``repeats[name]`` runs a shape that many
+    times and keeps the best time.  Returns the section (``reference``,
+    ``seconds``, ``speedup`` over the reference and, when anything was
+    compared, ``identical``) and the outputs by name.
+    """
+    seconds: dict[str, float] = {}
+    outputs: dict[str, Any] = {}
+    for name, shape in (shapes.items() if isinstance(shapes, dict)
+                        else shapes):
+        times = []
+        for _ in range((repeats or {}).get(name, 1)):
+            elapsed, outputs[name] = _timed(shape)
+            times.append(elapsed)
+        seconds[name] = min(times)
+    reference, *others = seconds
+    section: dict[str, Any] = {
+        "reference": reference,
+        "seconds": {name: round(s, 4) for name, s in seconds.items()},
+        "speedup": {name: round(seconds[reference] / seconds[name], 2)
+                    for name in others},
+    }
+    if outputs[reference] is not None:
+        golden = digest(outputs[reference])
+        compared = [name for name in others if outputs[name] is not None]
+        if compared:
+            section["identical"] = {name: digest(outputs[name]) == golden
+                                    for name in compared}
+    return section, outputs
 
 
 def _canonical(results: Sequence[Any]) -> list[str]:
     return [canonical_result(result) for result in results]
 
 
-def _timed(fn: Callable[[], list]) -> tuple[float, list]:
-    start = time.perf_counter()
-    results = fn()
-    return time.perf_counter() - start, results
+def _to_json(result: Any) -> str:
+    return result.to_json()
 
 
-def probe_storm_requests(seed: int = 0x5EED) -> list[RunRequest]:
-    """The snapshot mode's sweep: 48 probes in two prefix groups of 24.
+# ----------------------------------------------------------------------
+# engine sections
+# ----------------------------------------------------------------------
+def probe_storm_requests(seed: int = SEED) -> list[RunRequest]:
+    """The snapshot sweep: 48 probes in two prefix groups of 24.
 
     Prefix-heavy by design: per policy, two dozen audit delays share one
     long rotation storm over a large view tree, so the group is one
@@ -117,177 +189,100 @@ def probe_storm_requests(seed: int = 0x5EED) -> list[RunRequest]:
     ]
 
 
-def bench_experiment(
-    name: str, *, jobs: int, seed: int = 0x5EED
-) -> dict[str, Any]:
-    """Benchmark one experiment's request list across all five modes."""
-    requests = ENGINE_EXPERIMENTS[name].requests(seed)
+def bench_experiment(name: str, *, jobs: int) -> dict:
+    """One experiment's request list in the five engine shapes."""
+    requests = ENGINE_EXPERIMENTS[name].requests(SEED)
 
-    serial_s, serial = _timed(lambda: run_batch(requests, jobs=1, cache=False))
-    golden = _canonical(serial)
-
-    parallel_s, parallel = _timed(
-        lambda: run_batch(requests, jobs=jobs, cache=False))
+    def batch(jobs=1, cache=False):
+        return lambda: run_batch(requests, jobs=jobs, cache=cache)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
-        cold_cache = ResultCache(root=root)
-        cold_s, cold = _timed(
-            lambda: run_batch(requests, jobs=1, cache=cold_cache))
-        tier_stats = {"cold": vars(cold_cache.stats).copy()}
-        warm_memory_s, warm_memory = _timed(
-            lambda: run_batch(requests, jobs=1, cache=cold_cache))
-        # The warm run reuses the cold cache object, so report the delta.
-        tier_stats["warm_memory"] = {
-            field: count - tier_stats["cold"][field]
-            for field, count in vars(cold_cache.stats).items()
-        }
-        disk_cache = ResultCache(root=root)
-        warm_disk_s, warm_disk = _timed(
-            lambda: run_batch(requests, jobs=1, cache=disk_cache))
-        tier_stats["warm_disk"] = vars(disk_cache.stats).copy()
-
-    identical = {
-        "parallel": _canonical(parallel) == golden,
-        "cached_cold": _canonical(cold) == golden,
-        "cached_warm_memory": _canonical(warm_memory) == golden,
-        "cached_warm_disk": _canonical(warm_disk) == golden,
-    }
-    return {
-        "runs": len(requests),
-        "seconds": {
-            "serial": round(serial_s, 4),
-            "parallel": round(parallel_s, 4),
-            "cached_cold": round(cold_s, 4),
-            "cached_warm_memory": round(warm_memory_s, 4),
-            "cached_warm_disk": round(warm_disk_s, 4),
-        },
-        "speedup_vs_serial": {
-            "parallel": round(serial_s / parallel_s, 2),
-            "cached_warm_memory": round(serial_s / warm_memory_s, 2),
-            "cached_warm_disk": round(serial_s / warm_disk_s, 2),
-        },
-        "cache_stats": tier_stats,
-        "identical_to_serial": identical,
-    }
+        memory, disk = ResultCache(root=root), ResultCache(root=root)
+        section, _ = run_shapes({
+            "serial": batch(),
+            "parallel": batch(jobs=jobs),
+            "cached_cold": batch(cache=memory),
+            "cached_warm_memory": batch(cache=memory),
+            "cached_warm_disk": batch(cache=disk),
+        }, _canonical)
+    return {"runs": len(requests), **section,
+            "cache_stats": {"memory": vars(memory.stats),
+                            "disk": vars(disk.stats)}}
 
 
-def bench_snapshot(*, seed: int = 0x5EED) -> dict[str, Any]:
-    """Benchmark prefix-snapshot sharing on :func:`probe_storm_requests`.
-
-    All three runs are cold (no result cache): ``serial`` executes every
-    cell from scratch, ``forked`` shares each group's prefix through a
-    snapshot, ``forked_verified`` additionally re-runs a sample of the
-    forked cells from scratch and compares.
-    """
-    requests = probe_storm_requests(seed)
-    serial_s, serial = _timed(
-        lambda: run_batch(requests, jobs=1, cache=False, snapshots=False))
-    golden = _canonical(serial)
-    forked_s, forked = _timed(
-        lambda: run_batch(requests, jobs=1, cache=False, snapshots=True))
-    verified_s, verified = _timed(
-        lambda: run_batch(requests, jobs=1, cache=False, snapshots=True,
-                          verify_forks=True))
-    return {
-        "runs": len(requests),
-        "seconds": {
-            "serial": round(serial_s, 4),
-            "forked": round(forked_s, 4),
-            "forked_verified": round(verified_s, 4),
-        },
-        "speedup_vs_serial": {
-            "forked": round(serial_s / forked_s, 2),
-            "forked_verified": round(serial_s / verified_s, 2),
-        },
-        "identical_to_serial": {
-            "forked": _canonical(forked) == golden,
-            "forked_verified": _canonical(verified) == golden,
-        },
-    }
+def _experiments_section(settings: SimpleNamespace) -> dict:
+    return {name: bench_experiment(name, jobs=settings.jobs)
+            for name in DEFAULT_EXPERIMENTS}
 
 
-def bench_fleet(
-    *, devices: int = DEFAULT_FLEET_DEVICES, jobs: int | None = None,
-    seed: int = 0x5EED,
-) -> dict[str, Any]:
-    """Benchmark the fleet simulator (``repro.fleet``).
+def _snapshot_section(settings: SimpleNamespace) -> dict:
+    """:func:`probe_storm_requests` cold, from scratch vs prefix-forked
+    (and fork-verified: a sample re-run from scratch and compared)."""
+    requests = probe_storm_requests()
 
-    Two questions, answered separately because session play time is
-    identical on every path:
+    def batch(**kwargs):
+        return lambda: run_batch(requests, jobs=1, cache=False, **kwargs)
 
-    * **spawn** — materialising one cohort's devices by forking the
-      cohort template (capture once + restore per device) vs building
-      each device cold (the gated speedup);
-    * **end-to-end** — the same fleet run serially, sharded across a
-      pool, and with cold per-device setup, gated byte-identical.
-    """
+    section, _ = run_shapes({
+        "serial": batch(snapshots=False),
+        "forked": batch(snapshots=True),
+        "forked_verified": batch(snapshots=True, verify_forks=True),
+    }, _canonical)
+    return {"runs": len(requests), **section}
+
+
+# ----------------------------------------------------------------------
+# fleet sections
+# ----------------------------------------------------------------------
+def _fleet_spec(devices: int, **fields):
     import math
 
-    from repro.fleet.run import (
-        FleetSpec,
-        build_template,
-        capture_template,
-        run_fleet,
-    )
+    from repro.fleet.run import FleetSpec
 
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     cells = len(FleetSpec().cells())
-    spec = FleetSpec(
-        devices_per_cell=max(1, math.ceil(devices / cells)), seed=seed
-    )
+    return FleetSpec(devices_per_cell=max(1, math.ceil(devices / cells)),
+                     seed=SEED, **fields)
 
-    def spawn_cold() -> None:
-        for cell_index in range(cells):
+
+def _spawn_section(settings: SimpleNamespace) -> dict:
+    """Every cohort's devices built cold, one by one, vs forked from the
+    cohort template (capture once + restore per device).  Session play
+    time is identical on both paths, so the spawn is timed on its own."""
+    from repro.fleet.run import build_template, capture_template
+
+    spec = _fleet_spec(settings.devices or DEFAULT_FLEET_DEVICES)
+    cells = range(len(spec.cells()))
+
+    def cold() -> None:
+        for cell in cells:
             for _ in range(spec.devices_per_cell):
-                build_template(spec, cell_index)
+                build_template(spec, cell)
 
-    def spawn_forked() -> None:
-        for cell_index in range(cells):
-            template = capture_template(spec, cell_index)
+    def forked() -> None:
+        for cell in cells:
+            template = capture_template(spec, cell)
             for _ in range(spec.devices_per_cell):
                 template.restore()
 
-    spawn_cold_s, _ = _timed(lambda: [spawn_cold()])
-    spawn_forked_s, _ = _timed(lambda: [spawn_forked()])
-
-    serial_s, serial = _timed(lambda: [run_fleet(spec, jobs=1)])
-    golden = serial[0].to_json()
-    # At least two workers, so the identity gates exercise the real
-    # pool (disk-provisioned templates, work stealing) even on a
-    # single-core host.
-    pool_jobs = max(2, jobs)
-    sharded_s, sharded = _timed(lambda: [run_fleet(spec, jobs=pool_jobs)])
-    cold_s, cold = _timed(
-        lambda: [run_fleet(spec, jobs=1, use_templates=False)])
-
-    return {
-        "devices": spec.total_devices,
-        "cells": cells,
-        "shard_size": spec.shard_size,
-        "spawn": {
-            "cold_s": round(spawn_cold_s, 4),
-            "forked_s": round(spawn_forked_s, 4),
-            "speedup": round(spawn_cold_s / spawn_forked_s, 2),
-        },
-        "seconds": {
-            "serial": round(serial_s, 4),
-            "sharded": round(sharded_s, 4),
-            "cold_setup": round(cold_s, 4),
-        },
-        "speedup_vs_serial": {
-            "sharded": round(serial_s / sharded_s, 2),
-        },
-        "identical_to_serial": {
-            "sharded": sharded[0].to_json() == golden,
-            "cold_setup": cold[0].to_json() == golden,
-        },
-    }
+    section, _ = run_shapes({"cold": cold, "forked": forked})
+    return {"devices": spec.total_devices, "cells": len(cells), **section}
 
 
-# ----------------------------------------------------------------------
-# scaling curve, resume check, RSS ceiling
-# ----------------------------------------------------------------------
+def _end_to_end_section(settings: SimpleNamespace) -> dict:
+    """The same fleet serial, sharded (at least two workers, so the real
+    pool runs even on one core) and without templates."""
+    from repro.fleet.run import run_fleet
+
+    spec = _fleet_spec(settings.devices or DEFAULT_FLEET_DEVICES)
+    section, _ = run_shapes({
+        "serial": lambda: run_fleet(spec, jobs=1),
+        "sharded": lambda: run_fleet(spec, jobs=max(2, settings.jobs)),
+        "cold_setup": lambda: run_fleet(spec, jobs=1, use_templates=False),
+    }, _to_json)
+    return {"devices": spec.total_devices, "shard_size": spec.shard_size,
+            **section}
+
+
 def _repro_env() -> dict[str, str]:
     """Subprocess env that can ``import repro`` like this process."""
     import repro
@@ -300,129 +295,153 @@ def _repro_env() -> dict[str, str]:
     return env
 
 
-def _scaling_point(devices: int, jobs: int, seed: int) -> dict[str, Any]:
-    """Run one curve point in a subprocess; report seconds and peak RSS."""
+def _fleet_cli(devices: int, jobs: int, out: str) -> list[str]:
+    return [sys.executable, "-m", "repro", "fleet", "--devices",
+            str(devices), "--jobs", str(jobs), "--seed", str(SEED),
+            "-o", out]
+
+
+#: Runs ``argv[1:]``, then prints its peak RSS in KB.  Exec records the
+#: replaced image's peak RSS in the new one's ``ru_maxrss``, so a fleet
+#: run started straight from this process would read at least this
+#: process's own peak; started from this small interpreter, it reads its
+#: own.  The rusage of the reaped run covers its reaped pool workers.
+_PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "run = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(run.pid, 0)\n"
+    "print(usage.ru_maxrss)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n"
+)
+
+
+def _scaling_point(devices: int, jobs: int, root: str) -> dict[str, Any]:
+    """One curve point: a ``repro fleet`` run's seconds and peak RSS."""
     import subprocess
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.engine.bench",
-         "--scaling-point", str(devices), str(jobs), str(seed)],
-        capture_output=True, text=True, env=_repro_env(), timeout=1800,
-    )
-    if proc.returncode != 0:
-        return {"devices": devices, "jobs": jobs, "ok": False,
-                "error": (proc.stderr or proc.stdout).strip()[-500:]}
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _scaling_point_main(devices: int, jobs: int, seed: int) -> int:
-    """The subprocess body behind one scaling-curve point."""
-    import math
-    import resource
-
-    from repro.fleet.run import FleetSpec, run_fleet
-
-    cells = len(FleetSpec().cells())
-    spec = FleetSpec(
-        devices_per_cell=max(1, math.ceil(devices / cells)), seed=seed
-    )
+    out = os.path.join(root, f"fleet-{devices}-{jobs}.json")
     start = time.perf_counter()
-    result = run_fleet(spec, jobs=jobs)
-    elapsed = time.perf_counter() - start
-    # Linux reports ru_maxrss in KB; children covers the worker pool.
-    rss_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    rss_children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    print(json.dumps({
-        "devices": result.devices,
-        "jobs": jobs,
-        "seconds": round(elapsed, 4),
-        "rss_mb": round(max(rss_self, rss_children) / 1024.0, 1),
-        "ok": result.devices == spec.total_devices,
-    }))
-    return 0
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *_fleet_cli(devices, jobs, out)],
+        env=_repro_env(), capture_output=True, text=True, timeout=1800,
+    )
+    point = {"devices": devices, "jobs": jobs,
+             "seconds": round(time.perf_counter() - start, 4)}
+    printed, _, peak_kb = proc.stdout.rstrip("\n").rpartition("\n")
+    if proc.returncode != 0:
+        return {**point, "ok": False,
+                "error": (proc.stderr or printed).strip()[-500:]}
+    with open(out, encoding="utf-8") as handle:
+        ran = json.load(handle)["fleet"]["devices"]
+    return {**point, "rss_mb": round(int(peak_kb) / 1024.0, 1),
+            "ok": ran == _fleet_spec(devices).total_devices}
 
 
-def bench_fleet_scaling(
-    *, jobs: int | None = None, seed: int = 0x5EED,
-    devices_points: Sequence[int] = SCALING_DEVICES,
-) -> list[dict[str, Any]]:
-    """The devices × jobs scaling curve (one subprocess per point)."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs_values = sorted({1, max(2, jobs)})
-    return [
-        _scaling_point(devices, jobs_value, seed)
-        for jobs_value in jobs_values
-        for devices in devices_points
-    ]
+def _scaling_section(settings: SimpleNamespace) -> list[dict[str, Any]]:
+    with tempfile.TemporaryDirectory(prefix="repro-fleet-scaling-") as root:
+        return [_scaling_point(devices, jobs, root)
+                for jobs in sorted({1, max(2, settings.jobs)})
+                for devices in SCALING_DEVICES]
 
 
-def fleet_resume_check(
-    *, devices: int = 2000, jobs: int = 2, seed: int = 0x5EED,
-    oracle_rate: float = 0.0,
-) -> dict[str, Any]:
+def _phases_section(settings: SimpleNamespace) -> dict:
+    """Storm-vs-idle per-policy cost (the Fig. 11 regime at fleet scale):
+    per policy, handling cost per device and crash/data-loss rates under
+    a rotation storm and a calm day, each fleet at jobs 1 and sharded."""
+    from repro.fleet.run import run_fleet
+    from repro.workload.library import PHASE_PLANS
+
+    plans: dict[str, Any] = {}
+    for plan in (PHASES_STORM_PLAN, PHASES_IDLE_PLAN):
+        spec = _fleet_spec(PHASES_DEVICES, phases=PHASE_PLANS[plan])
+        section, outputs = run_shapes({
+            "serial": lambda: run_fleet(spec, jobs=1),
+            "sharded": lambda: run_fleet(spec, jobs=max(2, settings.jobs)),
+        }, _to_json)
+        section["policies"] = {}
+        for row in outputs["serial"].report()["policies"]:
+            handling = row["handling"]
+            per_device = (handling["mean_ms"] * handling["count"]
+                          / row["devices"]) if row["devices"] else 0.0
+            section["policies"][row["policy"]] = {
+                "handling_events": handling["count"],
+                "handling_mean_ms": handling["mean_ms"],
+                "handling_ms_per_device": round(per_device, 1),
+                "crash_rate": row["crash_rate"],
+                "data_loss_rate": row["data_loss_rate"],
+            }
+        plans[plan] = section
+    storm = plans[PHASES_STORM_PLAN]["policies"]
+    idle = plans[PHASES_IDLE_PLAN]["policies"]
+    return {
+        "devices": spec.total_devices,
+        "storm_plan": PHASES_STORM_PLAN,
+        "idle_plan": PHASES_IDLE_PLAN,
+        "plans": plans,
+        "asymmetry": {
+            policy: round(storm[policy]["handling_ms_per_device"]
+                          / max(idle[policy]["handling_ms_per_device"],
+                                1e-9), 2)
+            for policy in storm
+        },
+    }
+
+
+def fleet_resume_check(*, devices: int = 2000,
+                       jobs: int = 2) -> dict[str, Any]:
     """Kill a checkpointed fleet run mid-flight, resume it, compare.
 
-    Three subprocess runs of the real CLI: an uninterrupted reference,
-    a checkpointed run SIGKILLed as soon as its first checkpoint lands,
-    and a resume from that checkpoint.  The gate is byte-identity of
-    the resumed JSON report against the uninterrupted one.
+    Runs of the real CLI: an uninterrupted reference, then a
+    checkpointed run SIGKILLed as soon as its first checkpoint lands and
+    resumed from that checkpoint.  The resumed JSON report must be
+    byte-identical to the uninterrupted one.
     """
     import signal
     import subprocess
 
     env = _repro_env()
-
-    def base_cmd(out: str) -> list[str]:
-        cmd = [sys.executable, "-m", "repro", "fleet",
-               "--devices", str(devices), "--jobs", str(jobs),
-               "--seed", str(seed), "-o", out]
-        if oracle_rate:
-            cmd += ["--oracle", str(oracle_rate)]
-        return cmd
-
+    state: dict[str, Any] = {}
     with tempfile.TemporaryDirectory(prefix="repro-fleet-resume-") as root:
-        uninterrupted = os.path.join(root, "uninterrupted.json")
-        interrupted = os.path.join(root, "interrupted.json")
+        reference = os.path.join(root, "uninterrupted.json")
+        out = os.path.join(root, "resumed.json")
         ckpt = os.path.join(root, "fleet.ckpt")
-        ckpt_args = ["--checkpoint", ckpt, "--checkpoint-every", "2"]
+        resumable = _fleet_cli(devices, jobs, out) + [
+            "--checkpoint", ckpt, "--checkpoint-every", "2"]
 
-        subprocess.run(base_cmd(uninterrupted), check=True, env=env,
-                       capture_output=True, timeout=1800)
+        def read(path: str) -> bytes:
+            with open(path, "rb") as handle:
+                return handle.read()
 
-        # The victim leads its own process group, so the SIGKILL takes
-        # its pool workers down with it instead of orphaning them.
-        victim = subprocess.Popen(
-            base_cmd(interrupted) + ckpt_args, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            start_new_session=True,
-        )
-        deadline = time.monotonic() + 600
-        while (not os.path.exists(ckpt) and victim.poll() is None
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        killed = victim.poll() is None
-        if killed:
-            os.killpg(victim.pid, signal.SIGKILL)
-        victim.wait(timeout=60)
-        _await_group_exit(victim.pid, timeout_s=60)
+        def uninterrupted() -> bytes:
+            subprocess.run(_fleet_cli(devices, jobs, reference),
+                           check=True, env=env, capture_output=True,
+                           timeout=1800)
+            return read(reference)
 
-        resume = subprocess.run(
-            base_cmd(interrupted) + ckpt_args, env=env,
-            capture_output=True, timeout=1800,
-        )
-        identical = False
-        if resume.returncode == 0:
-            with open(uninterrupted, "rb") as left, \
-                    open(interrupted, "rb") as right:
-                identical = left.read() == right.read()
-        return {
-            "devices": devices,
-            "jobs": jobs,
-            "killed_mid_run": killed,
-            "resume_exit": resume.returncode,
-            "identical": identical,
-        }
+        def resumed() -> bytes:
+            # The victim leads its own process group, so the SIGKILL
+            # takes its pool workers down with it.
+            victim = subprocess.Popen(
+                resumable, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, start_new_session=True,
+            )
+            deadline = time.monotonic() + 600
+            while (not os.path.exists(ckpt) and victim.poll() is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            state["killed_mid_run"] = victim.poll() is None
+            if state["killed_mid_run"]:
+                os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=60)
+            _await_group_exit(victim.pid, timeout_s=60)
+            resume = subprocess.run(resumable, env=env,
+                                    capture_output=True, timeout=1800)
+            state["resume_exit"] = resume.returncode
+            return read(out) if resume.returncode == 0 else b""
+
+        section, _ = run_shapes({"uninterrupted": uninterrupted,
+                                 "resumed": resumed})
+    return {"devices": devices, "jobs": jobs, **state, **section}
 
 
 def _await_group_exit(pgid: int, *, timeout_s: float) -> None:
@@ -435,6 +454,12 @@ def _await_group_exit(pgid: int, *, timeout_s: float) -> None:
         except ProcessLookupError:
             return
         time.sleep(0.02)
+
+
+def _resume_section(settings: SimpleNamespace) -> "dict | None":
+    if settings.resume_check:
+        return fleet_resume_check(jobs=max(2, settings.jobs))
+    return None
 
 
 def apply_rss_ceiling(max_rss_mb: int) -> None:
@@ -453,410 +478,431 @@ def apply_rss_ceiling(max_rss_mb: int) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-#: Total devices per phase-plan fleet in the phases benchmark.
-PHASES_DEVICES = 180
-#: The storm plan and its quiet comparator (``repro.workload.library``).
-PHASES_STORM_PLAN = "rotation-storm"
-PHASES_IDLE_PLAN = "calm"
+# ----------------------------------------------------------------------
+# serve and hunt sections
+# ----------------------------------------------------------------------
+def _start_daemon(root: str, jobs: int):
+    """Launch ``repro serve`` and wait for its ready file."""
+    import subprocess
+
+    from repro.errors import ServeError
+
+    ready = os.path.join(root, "ready.json")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--ready-file", ready, "--jobs", str(jobs)],
+        env=_repro_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    )
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(ready):
+        if proc.poll() is not None or time.monotonic() > deadline:
+            output = proc.stdout.read() if proc.stdout else ""
+            proc.kill()
+            raise ServeError(
+                f"daemon failed to start: {output.strip()[-500:]}"
+            )
+        time.sleep(0.05)
+    with open(ready, encoding="utf-8") as handle:
+        return proc, json.load(handle)["url"]
 
 
-def bench_fleet_phases(
-    *, seed: int = 0x5EED, devices: int = PHASES_DEVICES,
-    jobs: int = 1,
-) -> dict[str, Any]:
-    """Storm-vs-idle per-policy cost asymmetry (the Fig. 11 regime).
+def _daemon_section(settings: SimpleNamespace) -> dict:
+    """Request latency, daemon amortisation included by design: the cold
+    CLI run pays interpreter boot and every template build; warm
+    requests reuse the daemon's template store and workers' caches."""
+    import subprocess
 
-    Runs the same fleet under two time-varying phase plans — a rotation
-    storm and a calm, mostly-idle day — and reports, per policy, the
-    total handling cost per device and the crash/data-loss rates under
-    each.  The gates (see :func:`check_fleet_report`) pin the paper's
-    population-scale story: a storm multiplies every policy's handling
-    cost (``asymmetry`` > 1), and it punishes restart-based handling
-    with *crashes* (stock's crash rate climbs; the transparent policies
-    stay at zero), not just latency.  Reports stay byte-identical
-    across job counts, phased or not.
-    """
-    import math
+    from repro.serve.client import DaemonClient
 
-    from repro.fleet.run import FleetSpec, run_fleet
-    from repro.workload.library import PHASE_PLANS
+    devices = settings.devices or DEFAULT_SERVE_DEVICES
+    params = {"devices": devices, "seed": SEED}
+    state: dict[str, Any] = {}
 
-    cells = len(FleetSpec().cells())
-    per_cell = max(1, math.ceil(devices / cells))
-    section: dict[str, Any] = {
-        "devices": per_cell * cells,
-        "storm_plan": PHASES_STORM_PLAN,
-        "idle_plan": PHASES_IDLE_PLAN,
-        "plans": {},
-        "identical_across_jobs": {},
-    }
-    for plan_name in (PHASES_STORM_PLAN, PHASES_IDLE_PLAN):
-        spec = FleetSpec(
-            devices_per_cell=per_cell, seed=seed,
-            phases=PHASE_PLANS[plan_name],
-        )
-        serial = run_fleet(spec, jobs=1)
-        sharded = run_fleet(spec, jobs=max(2, jobs))
-        section["identical_across_jobs"][plan_name] = (
-            sharded.to_json() == serial.to_json()
-        )
-        plan_rows: dict[str, Any] = {}
-        for row in serial.report()["policies"]:
-            handling = row["handling"]
-            per_device = (handling["mean_ms"] * handling["count"]
-                          / row["devices"]) if row["devices"] else 0.0
-            plan_rows[row["policy"]] = {
-                "handling_events": handling["count"],
-                "handling_mean_ms": handling["mean_ms"],
-                "handling_ms_per_device": round(per_device, 1),
-                "crash_rate": row["crash_rate"],
-                "data_loss_rate": row["data_loss_rate"],
-            }
-        section["plans"][plan_name] = plan_rows
-    storm = section["plans"][PHASES_STORM_PLAN]
-    idle = section["plans"][PHASES_IDLE_PLAN]
-    section["asymmetry"] = {
-        policy: round(
-            storm[policy]["handling_ms_per_device"]
-            / max(idle[policy]["handling_ms_per_device"], 1e-9), 2,
-        )
-        for policy in storm
-    }
-    return section
+    with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as root:
+        cli_out = os.path.join(root, "cli.json")
 
+        def cold_cli() -> set:
+            subprocess.run(_fleet_cli(devices, settings.jobs, cli_out),
+                           env=_repro_env(), check=True,
+                           capture_output=True, text=True, timeout=1800)
+            with open(cli_out, encoding="utf-8") as handle:
+                return {handle.read().rstrip("\n")}
 
-def run_fleet_bench(
-    *, jobs: int | None = None, devices: int = DEFAULT_FLEET_DEVICES,
-    seed: int = 0x5EED, scaling: bool = True, resume_check: bool = False,
-    phases: bool = True,
-) -> dict[str, Any]:
-    """Produce the full BENCH_fleet.json report structure."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    report: dict[str, Any] = {
-        "bench": "repro.fleet",
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-        "jobs": jobs,
-        "fleet": bench_fleet(devices=devices, jobs=jobs, seed=seed),
-    }
-    if scaling:
-        report["scaling"] = bench_fleet_scaling(jobs=jobs, seed=seed)
-    if phases:
-        report["phases"] = bench_fleet_phases(seed=seed, jobs=jobs)
-    if resume_check:
-        report["resume"] = fleet_resume_check(jobs=max(2, jobs), seed=seed)
-    report["ok"] = check_fleet_report(report) == []
-    return report
+        def shapes():
+            yield "cold_cli", cold_cli
+            # Started after the cold run, so its boot does not slow it.
+            state["daemon"], url = _start_daemon(root, settings.jobs)
+            client = DaemonClient(url, client="bench")
+            second = DaemonClient(url, client="bench-2")
+
+            def hits() -> int:
+                return client.status()["resident"]["template_warm_hits"]
+
+            def request() -> set:
+                return {client.run("fleet", params).get("report_json")}
+
+            def first() -> set:
+                report = request()
+                state["hits"] = hits()
+                return report
+
+            def concurrent() -> set:
+                state["warm_template_hits"] = hits() - state["hits"]
+                job_a = client.submit("fleet", params)
+                job_b = second.submit("fleet", params)
+                return {list(client.events(job_a))[-1].get("report_json"),
+                        list(second.events(job_b))[-1].get("report_json")}
+
+            def cancel() -> None:
+                # A much larger fleet over the same templates: the cancel
+                # lands mid-run instead of racing a finished job.
+                job = client.submit("fleet", {**params,
+                                              "devices": devices * 40})
+                cancelled = client.cancel(job)
+                events = list(client.events(job))
+                state["cancelled_cleanly"] = (
+                    bool(cancelled.get("cancelled"))
+                    and events[-1]["event"] == "cancelled")
+
+            yield "daemon_first", first
+            # Best of three: the gate measures the warm path's cost, not
+            # scheduler noise on a ~50 ms interval.
+            yield "daemon_warm", request
+            yield "concurrent_pair", concurrent
+            yield "cancel_turnaround", cancel
+            yield "after_cancel", request
+            client.shutdown()
+            state["daemon"].wait(timeout=60)
+
+        try:
+            section, _ = run_shapes(shapes(), repeats={"daemon_warm": 3})
+        except subprocess.CalledProcessError as error:
+            return {"error": "cold CLI run failed: "
+                    + (error.stderr or error.stdout)[-500:]}
+        finally:
+            if "daemon" in state and state["daemon"].poll() is None:
+                state["daemon"].kill()
+    return {"devices": devices, **section,
+            "warm_template_hits": state["warm_template_hits"],
+            "cancelled_cleanly": state["cancelled_cleanly"],
+            "daemon_exit": state["daemon"].returncode}
 
 
-def check_fleet_report(report: dict[str, Any]) -> list[str]:
-    """Acceptance failures for a fleet benchmark (empty = pass).
+def _generator_section(settings: SimpleNamespace) -> dict:
+    from repro.hunt.generator import generate_corpus
 
-    Gated: sharded and cold-setup runs byte-identical to serial; forked
-    cohort spawning faster than per-device cold setup; every
-    scaling-curve point completed
-    with peak RSS at the largest device count within
-    ``SCALING_RSS_BOUND`` of the smallest (same jobs value); phased
-    (time-varying) fleets byte-identical across job counts with every
-    policy's storm-vs-idle cost asymmetry above 1 and the crash-rate
-    split intact (stock crashes more under the storm; the transparent
-    policies do not crash at all); and, when present, the
-    killed-then-resumed report byte-identical to the uninterrupted
-    one.  Wall-clock speedups are reported, not gated — they are
-    properties of the host's core count.
-    """
-    failures: list[str] = []
-    data = report["fleet"]
-    for mode, same in data["identical_to_serial"].items():
-        if not same:
-            failures.append(f"fleet: {mode} report differs from serial")
-    spawn = data["spawn"]
-    if spawn["forked_s"] >= spawn["cold_s"]:
-        failures.append(
-            f"fleet: forked spawn ({spawn['forked_s']}s) not faster than "
-            f"cold setup ({spawn['cold_s']}s)"
-        )
-    curve = report.get("scaling")
-    if curve is None:
-        failures.append("fleet: scaling curve missing")
-    else:
-        by_jobs: dict[int, list[dict]] = {}
-        for point in curve:
-            if not point.get("ok"):
-                failures.append(
-                    f"scaling: point devices={point.get('devices')} "
-                    f"jobs={point.get('jobs')} failed"
-                    + (f" ({point['error']})" if point.get("error") else "")
-                )
-            else:
-                by_jobs.setdefault(point["jobs"], []).append(point)
-        for jobs_value, points in by_jobs.items():
-            if len(points) < 2:
-                continue
-            smallest = min(points, key=lambda p: p["devices"])
-            largest = max(points, key=lambda p: p["devices"])
-            if largest["rss_mb"] > SCALING_RSS_BOUND * smallest["rss_mb"]:
-                failures.append(
-                    f"scaling: jobs={jobs_value} peak RSS grows with "
-                    f"fleet size ({smallest['rss_mb']}MB @ "
-                    f"{smallest['devices']} -> {largest['rss_mb']}MB @ "
-                    f"{largest['devices']}; bound {SCALING_RSS_BOUND}x)"
-                )
-    phases = report.get("phases")
-    if phases is None:
-        failures.append("fleet: phases section missing")
-    else:
-        for plan, same in phases["identical_across_jobs"].items():
-            if not same:
-                failures.append(
-                    f"phases: {plan} report differs across job counts"
-                )
-        for policy, ratio in phases["asymmetry"].items():
-            if ratio <= 1.0:
-                failures.append(
-                    f"phases: {policy} storm/idle handling asymmetry "
-                    f"{ratio}x not above 1"
-                )
-        storm = phases["plans"][phases["storm_plan"]]
-        idle = phases["plans"][phases["idle_plan"]]
-        stock = "android10"
-        if stock in storm:
-            if storm[stock]["crash_rate"] <= idle[stock]["crash_rate"]:
-                failures.append(
-                    f"phases: {stock} crash rate did not climb under the "
-                    f"storm ({idle[stock]['crash_rate']} -> "
-                    f"{storm[stock]['crash_rate']})"
-                )
-            for policy, row in storm.items():
-                if policy == stock:
-                    continue
-                if row["crash_rate"] >= storm[stock]["crash_rate"]:
-                    failures.append(
-                        f"phases: {policy} storm crash rate "
-                        f"({row['crash_rate']}) not below {stock}'s "
-                        f"({storm[stock]['crash_rate']})"
-                    )
-    resume = report.get("resume")
-    if resume is not None and not resume["identical"]:
-        failures.append(
-            "resume: killed-then-resumed report differs from the "
-            "uninterrupted run"
-        )
-    return failures
+    seconds, _ = _timed(
+        lambda: generate_corpus(SEED, HUNT_GENERATOR_SAMPLE))
+    return {"apps": HUNT_GENERATOR_SAMPLE, "seconds": round(seconds, 4),
+            "apps_per_s": round(HUNT_GENERATOR_SAMPLE / seconds, 1)}
 
 
-def format_fleet_report(report: dict[str, Any]) -> str:
-    data = report["fleet"]
-    spawn = data["spawn"]
-    seconds = data["seconds"]
-    identical = all(data["identical_to_serial"].values())
-    lines = [
-        f"fleet benchmark — jobs={report['jobs']}, "
-        f"host cpus={report['host']['cpu_count']}",
-        f"  {data['devices']} devices in {data['cells']} cohorts "
-        f"(shard size {data['shard_size']})",
-        f"  spawn: cold {spawn['cold_s']}s | forked {spawn['forked_s']}s "
-        f"({spawn['speedup']}x)",
-        f"  end-to-end: serial {seconds['serial']}s | sharded "
-        f"{seconds['sharded']}s "
-        f"({data['speedup_vs_serial']['sharded']}x) | cold setup "
-        f"{seconds['cold_setup']}s",
-        f"  byte-identical to serial: {'yes' if identical else 'NO'}",
-    ]
-    for point in report.get("scaling", []):
+def _hunt_section(settings: SimpleNamespace) -> dict:
+    """A cold hunt into a result cache, the re-hunt against it, and
+    uncached hunts at jobs 1 and 2: the canonical report must not depend
+    on the cache or the worker count."""
+    from repro.hunt.search import HuntSettings, run_hunt
+
+    apps = settings.devices or DEFAULT_HUNT_BENCH_APPS
+    with tempfile.TemporaryDirectory(prefix="repro-hunt-bench-") as root:
+        cached = HuntSettings(apps=apps, jobs=1, cache=ResultCache(
+            root=os.path.join(root, "results")))
+        section, outputs = run_shapes({
+            "cold": lambda: run_hunt(cached),
+            "cached": lambda: run_hunt(cached),
+            "uncached": lambda: run_hunt(
+                HuntSettings(apps=apps, jobs=1, cache=False)),
+            "uncached_jobs2": lambda: run_hunt(
+                HuntSettings(apps=apps, jobs=settings.jobs, cache=False)),
+        }, _to_json)
+    cold = outputs["cold"]
+    return {"apps": apps, **section,
+            "suspicions": cold.suspicions,
+            "search_probes": cold.search_probes,
+            "shrink_probes": cold.shrink_probes,
+            "findings": len(cold.findings),
+            "simulator_bugs": len(cold.simulator_bugs)}
+
+
+# ----------------------------------------------------------------------
+# gates
+# ----------------------------------------------------------------------
+def _faster(shape: str) -> Callable[[dict, float], list[str]]:
+    """Gate: ``shape`` more than ``bound``× faster than the reference."""
+    def gate(section: dict, bound: float) -> list[str]:
+        seconds, reference = section["seconds"], section["reference"]
+        if seconds[shape] * bound < seconds[reference]:
+            return []
+        return [f"{shape} ({seconds[shape]}s) not {bound}x faster than "
+                f"{reference} ({seconds[reference]}s)"]
+    return gate
+
+
+def _each(gate):
+    """Apply a section gate to every sub-section of a section."""
+    return lambda sections, bound: [
+        f"{name}: {failure}" for name, section in sections.items()
+        for failure in gate(section, bound)]
+
+
+def _rss_flat(points: list, bound: float) -> list[str]:
+    failures, by_jobs = [], {}
+    for point in points:
         if point.get("ok"):
-            lines.append(
-                f"  scaling: {point['devices']} devices x jobs="
-                f"{point['jobs']}: {point['seconds']}s, peak RSS "
-                f"{point['rss_mb']}MB"
-            )
+            by_jobs.setdefault(point["jobs"], []).append(point)
         else:
-            lines.append(
-                f"  scaling: devices={point.get('devices')} "
-                f"jobs={point.get('jobs')}: FAILED"
-            )
-    phases = report.get("phases")
-    if phases is not None:
-        identical = all(phases["identical_across_jobs"].values())
-        lines.append(
-            f"  phases: {phases['devices']} devices, "
-            f"{phases['storm_plan']} vs {phases['idle_plan']}, "
-            f"byte-identical across jobs: {'yes' if identical else 'NO'}"
-        )
-        storm = phases["plans"][phases["storm_plan"]]
-        for policy in sorted(phases["asymmetry"]):
-            lines.append(
-                f"  phases: {policy}: storm/idle handling asymmetry "
-                f"{phases['asymmetry'][policy]}x, storm crash rate "
-                f"{storm[policy]['crash_rate']}"
-            )
-    resume = report.get("resume")
-    if resume is not None:
-        lines.append(
-            f"  resume: killed mid-run={resume['killed_mid_run']}, "
-            f"byte-identical={'yes' if resume['identical'] else 'NO'}"
-        )
-    return "\n".join(lines)
+            failures.append(
+                f"point devices={point.get('devices')} "
+                f"jobs={point.get('jobs')} failed"
+                + (f" ({point['error']})" if point.get("error") else ""))
+    for jobs, group in by_jobs.items():
+        small = min(group, key=lambda point: point["devices"])
+        large = max(group, key=lambda point: point["devices"])
+        if large["rss_mb"] > bound * small["rss_mb"]:
+            failures.append(
+                f"jobs={jobs} peak RSS grows with fleet size "
+                f"({small['rss_mb']}MB @ {small['devices']} -> "
+                f"{large['rss_mb']}MB @ {large['devices']}; "
+                f"bound {bound}x)")
+    return failures
 
 
-def run_bench(
-    *,
-    jobs: int | None = None,
-    experiments: Sequence[str] = DEFAULT_EXPERIMENTS,
-    seed: int = 0x5EED,
-) -> dict[str, Any]:
-    """Produce the full BENCH_engine.json report structure."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+def _asymmetry(phases: dict, bound: float) -> list[str]:
+    return [f"{policy} storm/idle handling asymmetry {ratio}x not above "
+            f"{bound}" for policy, ratio in phases["asymmetry"].items()
+            if ratio <= bound]
+
+
+def _crash_split(phases: dict, bound: Any) -> list[str]:
+    """Under the storm stock's crash rate climbs; every other policy
+    stays below stock's."""
+    storm = phases["plans"][phases["storm_plan"]]["policies"]
+    idle = phases["plans"][phases["idle_plan"]]["policies"]
+    stock = "android10"
+    if stock not in storm:
+        return []
+    failures = []
+    if storm[stock]["crash_rate"] <= idle[stock]["crash_rate"]:
+        failures.append(
+            f"{stock} crash rate did not climb under the storm "
+            f"({idle[stock]['crash_rate']} -> {storm[stock]['crash_rate']})")
+    failures += [
+        f"{policy} storm crash rate ({row['crash_rate']}) not below "
+        f"{stock}'s ({storm[stock]['crash_rate']})"
+        for policy, row in storm.items()
+        if policy != stock and row["crash_rate"] >= storm[stock]["crash_rate"]
+    ]
+    return failures
+
+
+def _holds(test: Callable[[dict, Any], bool], message: str):
+    """Gate: ``test(section, bound)`` holds; else ``message``, formatted
+    with the section's fields and the bound."""
+    return lambda data, bound: [] if test(data, bound) else [
+        message.format(bound=bound, **data)]
+
+
+class Mode(NamedTuple):
+    output: str
+    reads: tuple  # options beyond --output, --check and --max-rss-mb
+    #: name -> section(settings); a section that returns None did not run.
+    sections: dict
+    #: (section, bound constant, failures(section data, bound)) rows.
+    gates: tuple
+    jobs: "int | None" = None  # fixed worker count: the mode has no --jobs
+
+
+MODES: dict[str, Mode] = {
+    "engine": Mode("BENCH_engine.json", ("jobs",), {
+        "experiments": _experiments_section,
+        "snapshot": _snapshot_section,
+    }, (
+        ("experiments", FASTER_BOUND, _each(_faster("cached_warm_memory"))),
+        ("experiments", FASTER_BOUND, _each(_faster("cached_warm_disk"))),
+    )),
+    "fleet": Mode("BENCH_fleet.json", ("jobs", "devices", "resume_check"), {
+        "spawn": _spawn_section,
+        "end_to_end": _end_to_end_section,
+        "scaling": _scaling_section,
+        "phases": _phases_section,
+        "resume": _resume_section,
+    }, (
+        ("spawn", FASTER_BOUND, _faster("forked")),
+        ("scaling", SCALING_RSS_BOUND, _rss_flat),
+        ("phases", PHASES_ASYMMETRY_BOUND, _asymmetry),
+        ("phases", None, _crash_split),
+    )),
+    "serve": Mode("BENCH_serve.json", ("devices",), {
+        "daemon": _daemon_section,
+    }, (
+        ("daemon", SERVE_WARM_SPEEDUP_GATE, _faster("daemon_warm")),
+        ("daemon", 0, _holds(
+            lambda data, bound: data["warm_template_hits"] > bound,
+            "warm requests did not reuse the daemon's stored templates "
+            "({warm_template_hits} template hits)")),
+        ("daemon", None, _holds(
+            lambda data, bound: data["cancelled_cleanly"],
+            "cancellation did not end in a cancelled event")),
+        ("daemon", 0, _holds(
+            lambda data, bound: data["daemon_exit"] == bound,
+            "daemon exited {daemon_exit} after shutdown")),
+    ), jobs=1),
+    "hunt": Mode("BENCH_hunt.json", ("devices",), {
+        "generator": _generator_section,
+        "hunt": _hunt_section,
+    }, (
+        ("generator", HUNT_GENERATOR_RATE_GATE, _holds(
+            lambda data, bound: data["apps_per_s"] >= bound,
+            "generator produced {apps_per_s} apps/s (floor {bound})")),
+        ("hunt", HUNT_CACHED_SPEEDUP_GATE, _faster("cached")),
+        ("hunt", 0, _holds(
+            lambda data, bound: data["simulator_bugs"] <= bound,
+            "hunt flagged {simulator_bugs} simulator bugs")),
+    ), jobs=2),
+}
+
+#: Keys every report starts with; the rest are its mode's sections.
+HEADER = ("bench", "host", "jobs", "ok")
+
+
+def _identity_failures(value: Any, path: str) -> list[str]:
+    """Every false entry of every ``identical`` map under ``value``."""
+    failures = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == "identical":
+                failures += [f"{path}: {shape} differs from "
+                             f"{value['reference']}"
+                             for shape, same in item.items() if not same]
+            else:
+                failures += _identity_failures(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for item in value:
+            failures += _identity_failures(item, path)
+    return failures
+
+
+def check(report: dict[str, Any]) -> list[str]:
+    """Acceptance failures of a report (empty = pass): per section, every
+    identity, then the mode's gates.  A section that reports an
+    ``error`` fails with it, and its gates are not applied; a gated
+    section that is missing fails."""
+    mode = MODES[report["bench"]]
+    gated = {section for section, _, _ in mode.gates}
+    failures = []
+    for name in mode.sections:
+        data = report.get(name)
+        if data is None:
+            if name in gated:
+                failures.append(f"{name} section missing")
+        elif isinstance(data, dict) and "error" in data:
+            failures.append(f"{name}: {data['error']}")
+        else:
+            failures += _identity_failures(data, name)
+            failures += [f"{name}: {failure}"
+                         for section, bound, gate in mode.gates
+                         if section == name
+                         for failure in gate(data, bound)]
+    return failures
+
+
+def run(mode: str, *, jobs: "int | None" = None,
+        devices: "int | None" = None,
+        resume_check: bool = False) -> dict[str, Any]:
+    """Run ``mode``'s sections; the report, its ``ok`` set by
+    :func:`check`."""
+    entry = MODES[mode]
+    settings = SimpleNamespace(jobs=entry.jobs or jobs or os.cpu_count() or 1,
+                               devices=devices, resume_check=resume_check)
     report: dict[str, Any] = {
-        "bench": "repro.engine",
+        "bench": mode,
         "host": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "jobs": jobs,
-        "experiments": {
-            name: bench_experiment(name, jobs=jobs, seed=seed)
-            for name in experiments
-        },
-        "snapshot": {
-            SNAPSHOT_EXPERIMENT: bench_snapshot(seed=seed),
-        },
+        "jobs": settings.jobs,
     }
-    report["ok"] = check_report(report) == []
+    for name, section in entry.sections.items():
+        data = section(settings)
+        if data is not None:
+            report[name] = data
+    report["ok"] = check(report) == []
     return report
 
 
-def check_report(report: dict[str, Any]) -> list[str]:
-    """Return the list of acceptance failures (empty = pass).
-
-    Checked: every mode byte-identical to serial, and cached re-runs
-    (both tiers) faster than the cold serial run.  Parallel speedup is
-    reported, not gated — it is a property of the host's core count.
-    """
-    failures: list[str] = []
-    for name, data in report["experiments"].items():
-        for mode, same in data["identical_to_serial"].items():
-            if not same:
-                failures.append(f"{name}: {mode} results differ from serial")
-        seconds = data["seconds"]
-        for mode in ("cached_warm_memory", "cached_warm_disk"):
-            if seconds[mode] >= seconds["serial"]:
-                failures.append(
-                    f"{name}: {mode} ({seconds[mode]}s) not faster than "
-                    f"serial ({seconds['serial']}s)"
-                )
-    for name, data in report.get("snapshot", {}).items():
-        for mode, same in data["identical_to_serial"].items():
-            if not same:
-                failures.append(
-                    f"snapshot/{name}: {mode} results differ from serial"
-                )
-    return failures
-
-
-def write_report(report: dict[str, Any], path: str = DEFAULT_OUTPUT) -> None:
+def write_report(report: dict[str, Any], path: str) -> None:
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def format_report(report: dict[str, Any]) -> str:
-    lines = [
-        f"engine benchmark — jobs={report['jobs']}, "
-        f"host cpus={report['host']['cpu_count']}",
-    ]
-    for name, data in report["experiments"].items():
-        seconds = data["seconds"]
-        speedup = data["speedup_vs_serial"]
-        lines.append(
-            f"  {name}: {data['runs']} runs | serial {seconds['serial']}s | "
-            f"parallel {seconds['parallel']}s ({speedup['parallel']}x) | "
-            f"warm cache {seconds['cached_warm_memory']}s "
-            f"({speedup['cached_warm_memory']}x mem, "
-            f"{speedup['cached_warm_disk']}x disk)"
-        )
-        identical = all(data["identical_to_serial"].values())
-        lines.append(
-            f"    byte-identical to serial: {'yes' if identical else 'NO'}"
-        )
-    for name, data in report.get("snapshot", {}).items():
-        seconds = data["seconds"]
-        speedup = data["speedup_vs_serial"]
-        identical = all(data["identical_to_serial"].values())
-        lines.append(
-            f"  snapshot/{name}: {data['runs']} runs | "
-            f"serial {seconds['serial']}s | forked {seconds['forked']}s "
-            f"({speedup['forked']}x) | verified {seconds['forked_verified']}s "
-            f"({speedup['forked_verified']}x)"
-        )
-        lines.append(
-            f"    byte-identical to serial: {'yes' if identical else 'NO'}"
-        )
+def _render(label: str, value: Any, pad: str, lines: list[str]) -> None:
+    if isinstance(value, list):
+        lines.append(f"{pad}{label}".rstrip())
+        for item in value:
+            _render("- ", item, pad + "  ", lines)
+    elif isinstance(value, dict):
+        value = dict(value)
+        reference = value.pop("reference", None)
+        identical = value.pop("identical", None)
+        nested = {key: item for key, item in value.items()
+                  if isinstance(item, (dict, list))}
+        flat = ", ".join(f"{key}={item}" for key, item in value.items()
+                         if key not in nested)
+        lines.append(f"{pad}{label}{flat}".rstrip())
+        for key, item in nested.items():
+            _render(f"{key}: ", item, pad + "  ", lines)
+        if identical is not None:
+            differ = [shape for shape, same in identical.items() if not same]
+            lines.append(f"{pad}  byte-identical to {reference}: "
+                         + (f"NO ({', '.join(differ)})" if differ else "yes"))
+    else:
+        lines.append(f"{pad}{label}{value}")
+
+
+def render(report: dict[str, Any]) -> str:
+    """Any mode's report as indented text."""
+    host = report["host"]
+    lines = [f"{report['bench']} benchmark — jobs={report['jobs']}, host "
+             f"cpus={host['cpu_count']}, python {host['python']}: "
+             + ("ok" if report["ok"] else "FAILED")]
+    for key, value in report.items():
+        if key not in HEADER:
+            _render(f"{key}: ", value, "  ", lines)
     return "\n".join(lines)
 
 
+#: The options only some modes read; ``fleet-cli`` reads none of them.
+_MODE_OPTIONS = {name for mode in MODES.values() for name in mode.reads}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["--scaling-point"]:
-        # Internal: the subprocess body behind one curve point.
-        return _scaling_point_main(*(int(value) for value in argv[1:4]))
-    opts = parse("bench-engine", argv)
+    opts = parse("bench-engine", list(sys.argv[1:] if argv is None
+                                      else argv))
     if isinstance(opts, int):
         return opts
+    mode = "fleet-cli" if opts.rest is not None else opts["mode"]
+    reads = MODES[mode].reads if mode in MODES else ()
+    for option in COMMANDS["bench-engine"].options:
+        if option.name in opts.given & _MODE_OPTIONS - set(reads):
+            print(f"bench-engine: {mode} does not read {option.flag}",
+                  file=sys.stderr)
+            return 2
     if opts["max_rss_mb"] is not None:
         apply_rss_ceiling(opts["max_rss_mb"])
     if opts.rest is not None:
-        # ``fleet-cli``: forward the rest to `python -m repro fleet`,
-        # under the RSS ceiling armed above.
         from repro.__main__ import fleet_command
 
         return fleet_command(opts.rest)
-    mode, devices, jobs = opts["mode"], opts["devices"], opts["jobs"]
-    if mode == "serve":
-        # Daemon benchmark lives with the daemon; same report/check/
-        # write conventions, its own default output file.
-        from repro.serve.bench import (
-            DEFAULT_SERVE_OUTPUT as default_output,
-            check_serve_report as check,
-            format_serve_report as render,
-            run_serve_bench,
-        )
-
-        report = run_serve_bench(devices=devices)  # None = bench default
-    elif mode == "hunt":
-        # Bug-hunter benchmark lives with the hunter; ``--devices``
-        # doubles as its corpus size to keep the flag surface small.
-        from repro.hunt.bench import (
-            DEFAULT_HUNT_OUTPUT as default_output,
-            check_hunt_bench as check,
-            format_hunt_bench as render,
-            run_hunt_bench,
-        )
-
-        report = run_hunt_bench(apps=devices)  # None = bench default
-    elif mode == "fleet":
-        report = run_fleet_bench(jobs=jobs,
-                                 devices=(devices if devices is not None
-                                          else DEFAULT_FLEET_DEVICES),
-                                 scaling=not opts["no_scaling"],
-                                 phases=not opts["no_phases"],
-                                 resume_check=opts["resume_check"])
-        default_output = DEFAULT_FLEET_OUTPUT
-        render, check = format_fleet_report, check_fleet_report
-    else:
-        report = run_bench(jobs=jobs)
-        default_output, render, check = DEFAULT_OUTPUT, format_report, check_report
-    output = opts["output"] or default_output
+    report = run(mode, jobs=opts["jobs"], devices=opts["devices"],
+                 resume_check=opts["resume_check"])
+    output = opts["output"] or MODES[mode].output
     write_report(report, output)
     print(render(report))
-    failures = check(report)
     print(f"wrote {output}")
+    failures = check(report)
     for failure in failures:
         print(f"CHECK FAILED: {failure}", file=sys.stderr)
     return 1 if (opts["check"] and failures) else 0

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
-from repro.apps.appset27 import build_appset27
-from repro.engine import RunRequest, policy_matrix
+from repro.engine import RunRequest
 from repro.harness.experiments import run_requests
+# Fig. 8 reads memory off Fig. 7's 54 runs: one request list.
+from repro.harness.experiments.fig7 import requests
 from repro.harness.report import Comparison, render_comparisons, render_table
 
 PAPER_ANDROID10_MB = 47.56
@@ -42,11 +43,6 @@ class Fig8Result:
     @property
     def ratio(self) -> float:
         return self.mean_rchdroid_mb / self.mean_android10_mb
-
-
-def requests(seed: int = 0x5EED) -> list[RunRequest]:
-    return policy_matrix(build_appset27(seed), ["android10", "rchdroid"],
-                         seed=seed)
 
 
 def fold(requests: list[RunRequest], results: list) -> Fig8Result:

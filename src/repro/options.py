@@ -257,9 +257,6 @@ COMMANDS: dict[str, Command] = {
         _OUTPUT,
         Option("--check", FLAG),
         Option("--devices", COUNT),
-        Option("--no-scaling", FLAG),
-        Option("--phases", FLAG),
-        Option("--no-phases", FLAG),
         Option("--resume-check", FLAG),
         Option("--max-rss-mb", INT),
     ), unknown="bench-engine: unknown argument {arg!r}", stderr=True,
